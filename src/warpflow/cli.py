@@ -13,22 +13,10 @@ from .errors import DomainError, GreenNotConverged
 from .geodesics import integrate_geodesic, unit_tangent_from_direction
 from .geometry import TangentVector, sectional_curvature
 from .reports import write_csv, write_json
-from .scenarios import build_scenario, scenario_bounds
+from .scenarios import SCENARIOS, build_scenario, scenario_bounds
 
-_ANOSOV_PRESETS = {
-    "anosov-warped-torus": dict(
-        step=0.02, samples=112, t_min=200.0, horizon=220.0,
-        green_tol=1e-8, green_max_doublings=12, drift_tol=1e-5,
-    ),
-    "counterexample-sqrt": dict(
-        step=0.05, samples=64, t_min=100.0, horizon=120.0,
-        green_tol=1e-4, green_max_doublings=2, drift_tol=1e-4,
-    ),
-    "constant-curvature": dict(
-        step=0.005, samples=16, t_min=5.0, horizon=10.0,
-        green_tol=1e-8, green_max_doublings=12, drift_tol=1e-6,
-    ),
-}
+# preset keys that also apply to a single green solve
+_GREEN_PRESET_KEYS = ("step", "green_tol", "green_max_doublings", "drift_tol")
 
 
 def _spec_from(cfg: RunConfig):
@@ -115,11 +103,9 @@ def cmd_jacobi(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_green(cfg: RunConfig, explicit: set) -> int:
-    preset = _ANOSOV_PRESETS.get(cfg.scenario, {})
-    for key in ("step", "green_tol", "green_max_doublings", "drift_tol"):
-        if key in preset and key not in explicit:
-            setattr(cfg, key, preset[key])
+def cmd_green(cfg: RunConfig) -> int:
+    preset = SCENARIOS[cfg.scenario].preset
+    cfg.apply_preset({key: preset[key] for key in _GREEN_PRESET_KEYS})
     spec = _spec_from(cfg)
     theta = _theta_from(cfg, spec)
     path = integrate_geodesic(spec, theta, min(cfg.t_end, cfg.green_t_obs), cfg.step, drift_tol=cfg.drift_tol)
@@ -145,12 +131,8 @@ def cmd_green(cfg: RunConfig, explicit: set) -> int:
     return 0
 
 
-def cmd_anosov_check(cfg: RunConfig, explicit: set) -> int:
-    preset = _ANOSOV_PRESETS.get(cfg.scenario, {})
-    for key, value in preset.items():
-        if key not in explicit:
-            setattr(cfg, key, value)
-    cfg.validate()
+def cmd_anosov_check(cfg: RunConfig) -> int:
+    cfg.apply_preset(SCENARIOS[cfg.scenario].preset).validate()
     spec = _spec_from(cfg)
     bounds = None
     if cfg.scenario == "anosov-warped-torus":
@@ -223,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="sectioned key=value config file")
-    common.add_argument("--scenario", choices=["anosov-warped-torus", "counterexample-sqrt", "constant-curvature"])
+    common.add_argument("--scenario", choices=list(SCENARIOS))
     common.add_argument("--a", type=float, help="growth slope of the periodic warp")
     common.add_argument("--k", type=float, help="slope of the constant-curvature warp")
     common.add_argument("--n", type=int, help="torus dimension")
@@ -263,15 +245,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     mapping = {key: getattr(args, key, None) for key in _FLAG_KEYS}
     try:
-        cfg = build_config(args.config, mapping)
-        explicit = {k for k, v in mapping.items() if v is not None}
-        if args.config:
-            from .config import load_config_file
-
-            explicit |= set(load_config_file(args.config))
-        if args.func in (cmd_anosov_check, cmd_green):
-            return args.func(cfg, explicit)
-        return args.func(cfg)
+        return args.func(build_config(args.config, mapping))
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 from .errors import DomainError
-from .scenarios import CLI_SCENARIOS
+from .scenarios import SCENARIOS
 
 
 @dataclass
@@ -40,16 +40,12 @@ class RunConfig:
     x0: float = 0.0
     b0: float = 0.0
     t_end: float = 10.0
-
-    _FLOATS = (
-        "a", "k", "step", "t_min", "horizon", "green_tol", "green_r0",
-        "green_t_obs", "drift_tol", "envelope_slack", "x0", "b0", "t_end",
-    )
-    _INTS = ("n", "seed", "samples", "workers", "green_max_doublings", "chunk_size")
+    # keys set by a config file or a flag; presets fill in only the others
+    _explicit: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def validate(self) -> "RunConfig":
-        if self.scenario not in CLI_SCENARIOS:
-            raise DomainError(f"unknown scenario {self.scenario!r}; choose from {CLI_SCENARIOS}")
+        if self.scenario not in SCENARIOS:
+            raise DomainError(f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIOS)}")
         for name in ("step", "green_tol", "drift_tol", "envelope_slack"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
@@ -59,6 +55,10 @@ class RunConfig:
             raise DomainError("samples and n must be >= 1")
         if self.workers < 0:
             raise DomainError("workers must be >= 0")
+        if self.chunk_size < 1:
+            raise DomainError("chunk_size must be >= 1")
+        if self.green_max_doublings < 0:
+            raise DomainError("green_max_doublings must be >= 0")
         return self
 
     @property
@@ -74,17 +74,21 @@ class RunConfig:
         return out
 
     def apply_mapping(self, mapping: dict) -> "RunConfig":
+        types = get_type_hints(type(self))
         for key, raw in mapping.items():
             if raw is None:
                 continue
-            if not hasattr(self, key) or key.startswith("_"):
+            if key not in types or key.startswith("_"):
                 raise DomainError(f"unknown config key {key!r}")
-            if key in self._FLOATS:
-                setattr(self, key, float(raw))
-            elif key in self._INTS:
-                setattr(self, key, int(raw))
-            else:
-                setattr(self, key, str(raw))
+            setattr(self, key, types[key](raw))
+            self._explicit.add(key)
+        return self
+
+    def apply_preset(self, preset: dict) -> "RunConfig":
+        """Take the preset's value for every key no config file or flag has set."""
+        for key, value in preset.items():
+            if key not in self._explicit:
+                setattr(self, key, value)
         return self
 
 

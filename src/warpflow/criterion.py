@@ -24,7 +24,7 @@ import numpy as np
 from . import engine
 from .errors import DomainError, VanishingJacobiField
 from .geodesics import GeodesicPath, UnitTangent, flip, unit_tangent_from_direction
-from .jacobi import MatrixJacobiSolution, sasaki_orthonormal_directions
+from .jacobi import MatrixJacobiSolution, _flow_norms, _ladder, sasaki_orthonormal_directions
 from .scenarios import ScenarioBounds, case_bound
 from .warp import WarpSpec
 
@@ -100,27 +100,29 @@ class AnosovReport:
 # ---------------------------------------------------------------------------
 
 
-def _plane_curvature_series(Y: np.ndarray, K_coarse: np.ndarray, w: np.ndarray) -> tuple:
-    """kappa(t) and |J(t)| for J = Y w, scale-normalized per node.
+def _curvature_averages(Y: np.ndarray, K_coarse: np.ndarray, W: np.ndarray, times: np.ndarray) -> tuple:
+    """Running averages of the plane curvature K(gamma', J) along J = Y w, per sample and direction.
 
-    Normalizing J by its max component keeps the quadratic forms off the
-    underflow floor while exponential decay runs through hundreds of orders
-    of magnitude.
+    Y and K_coarse have shape (nodes, m, n, n) on ``times`` and the columns
+    of W (m, n, d) are the directions w.  Normalizing J by its max component
+    keeps the quadratic forms off the underflow floor while exponential decay
+    runs through hundreds of orders of magnitude.  Returns the trapezoidal
+    averages (nodes - 1, m, d) at times[1:], the norms |J| (nodes, m, d) and
+    a per-sample flag for fields that vanish on the grid.
     """
-    J = np.einsum("cij,j->ci", Y, np.asarray(w, float))
-    scale = np.max(np.abs(J), axis=-1)
-    if np.any(scale == 0.0):
-        raise VanishingJacobiField("Jacobi field vanished on the grid")
-    Jh = J / scale[:, None]
-    den = np.einsum("ci,ci->c", Jh, Jh)
-    kappa = np.einsum("ci,cik,ck->c", Jh, K_coarse, Jh) / den
-    return kappa, scale * np.sqrt(den)
-
-
-def _running_average(times: np.ndarray, integrand: np.ndarray) -> tuple:
+    J = np.einsum("wmij,mjd->wmid", Y, W)
+    scale = np.max(np.abs(J), axis=2)
+    degenerate = np.any(scale == 0.0, axis=(0, 2))
+    safe = np.where(scale == 0.0, 1.0, scale)
+    Jh = J / safe[:, :, None, :]
+    den = np.einsum("wmid,wmid->wmd", Jh, Jh)
+    kappa = np.einsum("wmid,wmik,wmkd->wmd", Jh, K_coarse, Jh) / den
     dt = np.diff(times)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dt)])
-    return times[1:], cum[1:] / (times[1:] - times[0])
+    cum = np.concatenate(
+        [np.zeros((1,) + kappa.shape[1:]), np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * dt[:, None, None], axis=0)]
+    )
+    averages = cum[1:] / (times[1:] - times[0])[:, None, None]
+    return averages, safe * np.sqrt(den), degenerate
 
 
 def averaged_curvature(
@@ -137,8 +139,11 @@ def averaged_curvature(
     idx0 = green.index_of(0.0)
     times = green.times[idx0:]
     K_coarse = np.stack([path.K[path.fine_index(t)] for t in times])
-    kappa, _ = _plane_curvature_series(green.Y[idx0:], K_coarse, w)
-    ts, vals = _running_average(times, kappa)
+    W = np.asarray(w, float)[None, :, None]
+    averages, _, degenerate = _curvature_averages(green.Y[idx0:, None], K_coarse[:, None], W, times)
+    if degenerate[0]:
+        raise VanishingJacobiField("Jacobi field vanished on the grid")
+    ts, vals = times[1:], averages[:, 0, 0]
     if t_grid is not None:
         vals = np.interp(t_grid, ts, vals)
         ts = np.asarray(t_grid, float)
@@ -312,63 +317,42 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
                     drift_tol, series_stride):
     """Forward pass + stable ladder + reductions for one bundle of start data."""
     m = len(thetas)
-    n = spec.n
     x0 = np.array([th.x for th in thetas])
-    y0 = np.stack([th.y for th in thetas])
     vel = [th.frame_velocity(spec) for th in thetas]
     u00 = np.array([v[0] for v in vel])
     u0v = np.stack([v[1] for v in vel])
 
     n_coarse = int(round(horizon / step))
     w = n_coarse + 1
-    opts = dict(
-        step=step, with_frame=True, with_y=False,
-        store_y=False, store_u=False, store_frame=False,
-        store_momenta=False, store_defects=False,
-    )
+    opts = dict(step=step, store=False)
 
     run = engine.integrate_states(
-        spec, x0, y0, u00, u0v, t0=0.0, t1=round(green_r0 / step) * step, **opts
+        spec, x0, None, u00, u0v, t0=0.0, t1=round(green_r0 / step) * step, **opts
     )
     K_fine = run["K"]
-    xs = run["x"]
     max_unit = run["max_unit_defect"]
     tail = run["final_state"]
     del run
 
     def extend(to_r):
-        nonlocal K_fine, xs, max_unit, tail
+        nonlocal K_fine, max_unit, tail
         have = (len(K_fine) - 1) * step / 2.0
         seg = engine.integrate_states(
-            spec, tail["x"], np.zeros((m, n)), tail["u0"], tail["u"],
+            spec, tail["x"], None, tail["u0"], tail["u"],
             t0=0.0, t1=round((to_r - have) / step) * step,
             frame0=(tail["alpha"], tail["beta"]), **opts,
         )
         K_fine = np.concatenate([K_fine, seg["K"][1:]], axis=0)
-        xs = np.concatenate([xs, seg["x"][1:]], axis=0)
         max_unit = np.maximum(max_unit, seg["max_unit_defect"])
         tail = seg["final_state"]
 
-    prev = None
-    gaps_hist = []
-    Y = Yp = None
-    used = []
-    rk = round(green_r0 / step) * step
-    for _ in range(green_max_doublings + 1):
-        need_c = int(round(rk / step))
+    def solve(r):
+        need_c = int(round(r / step))
         if 2 * need_c + 1 > len(K_fine):
-            extend(rk)
-        Yk, Ypk = engine.boundary_solve(K_fine[: 2 * need_c + 1], step, need_c, 0, 0, n_coarse)
-        used.append(rk)
-        if prev is not None:
-            gaps = np.max(np.abs(Yk - prev) / (1.0 + np.abs(Yk)), axis=(0, 2, 3))
-            gaps_hist.append(gaps)
-            Y, Yp = Yk, Ypk
-            if float(np.max(gaps)) < green_tol:
-                break
-        prev = Yk
-        Y, Yp = Yk, Ypk
-        rk = round(2.0 * rk / step) * step
+            extend(r)
+        return engine.boundary_solve(K_fine[: 2 * need_c + 1], step, need_c, 0, 0, n_coarse)
+
+    (Y, Yp), used, gaps_hist = _ladder(solve, green_r0, step, green_max_doublings, green_tol)
 
     final_gaps = gaps_hist[-1] if gaps_hist else np.full(m, np.inf)
     green_ok = final_gaps < green_tol
@@ -378,25 +362,8 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     K_coarse = K_fine[: 2 * n_coarse + 1 : 2]
     Us0 = Yp[0]
     dirs = np.stack([sasaki_orthonormal_directions(Us0[s]) for s in range(m)])
-    J_all = np.einsum("wmij,mjd->wmid", Y, dirs)
-    scale = np.max(np.abs(J_all), axis=2)
-    degenerate = np.any(scale == 0.0, axis=(0, 2))
-    safe = np.where(scale == 0.0, 1.0, scale)
-    Jh = J_all / safe[:, :, None, :]
-    den = np.einsum("wmid,wmid->wmd", Jh, Jh)
-    kappa = np.einsum("wmid,wmik,wmkd->wmd", Jh, K_coarse, Jh) / den
-    Jnorm = safe * np.sqrt(den)
-
-    dt = np.diff(times)
-    cum = np.concatenate(
-        [np.zeros((1, m, n)), np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * dt[:, None, None], axis=0)]
-    )
-    averages = cum[1:] / times[1:, None, None]
-
-    M = np.concatenate([Y, Yp], axis=2)
-    pinv0 = np.linalg.pinv(M[0])
-    prod = np.einsum("wmiq,mqr->wmir", M, pinv0)
-    norms = np.linalg.svd(prod, compute_uv=False)[:, :, 0]
+    averages, Jnorm, degenerate = _curvature_averages(Y, K_coarse, dirs, times)
+    norms = _flow_norms(Y, Yp, 0)
 
     sidx = np.unique(np.concatenate([np.arange(0, w, series_stride), [w - 1]]))
     sidx_pos = sidx[sidx > 0]

@@ -25,9 +25,14 @@ from .geometry import curvature_matrix_frame
 from .warp import WarpSpec
 
 _RENORM_THRESHOLD = 1e6
+# frame orthonormality defect above which the frame is re-orthonormalized
+_RENORM_TOL = 1e-9
 # below this, fiber-velocity components sit in (or neighbor) the subnormal
 # range where their relative precision is gone; momentum diagnostics stop
 _MOMENTUM_FLOOR = 1e-300
+# order of the state the geodesic kernel steps, and of the series it stores
+_STATE_KEYS = ("x", "y", "u0", "u", "alpha", "beta")
+_RECORD_KEYS = _STATE_KEYS + ("momenta", "unit_defect")
 
 
 def complete_orthonormal_frame(velocity: np.ndarray) -> np.ndarray:
@@ -51,14 +56,26 @@ def _log_momenta(g, u):
     return np.where(np.abs(u) < _MOMENTUM_FLOOR, 0.0, p)
 
 
-def _geodesic_rhs(spec, x, u0, u, alpha, beta, with_y):
+def _momentum_defect(p, u, p_init, p_scale):
+    """Relative momentum defect per node, and where the fiber speed left the representable range.
+
+    A node is dead when a fiber-velocity component with nonzero initial
+    momentum sits below ``_MOMENTUM_FLOOR``; callers mask the defect from the
+    first dead node on.
+    """
+    dead = np.any((np.abs(u) < _MOMENTUM_FLOOR) & (p_init != 0.0), axis=-1)
+    return np.max(np.abs(p - p_init), axis=-1) / p_scale, dead
+
+
+def _geodesic_rhs(spec, x, y, u0, u, alpha, beta):
+    """Derivatives of the state (x, y, u0, u, alpha, beta); None parts stay None."""
     g, gp, _ = spec.log_derivatives(x)
     s2 = np.sum(u * u, axis=-1)
     dx = u0
     du0 = gp * s2
     du = -(gp * u0)[:, None] * u
     dy = None
-    if with_y:
+    if y is not None:
         with np.errstate(over="ignore"):
             scale = np.exp(-g)
         dy = np.where(u == 0.0, 0.0, scale[:, None] * u)
@@ -67,6 +84,33 @@ def _geodesic_rhs(spec, x, u0, u, alpha, beta, with_y):
         dal = gp[:, None] * np.einsum("mik,mk->mi", beta, u)
         dbe = -gp[:, None, None] * alpha[:, :, None] * u[:, None, :]
     return dx, dy, du0, du, dal, dbe
+
+
+def _rk4_step(rhs, y, h):
+    """One classic RK4 step of y' = rhs(stage, y) over a step h.
+
+    ``stage`` counts half steps into the step (0, 1, 1, 2), for right-hand
+    sides that read coefficients tabulated on a half-step grid.
+    """
+    k1 = rhs(0, y)
+    k2 = rhs(1, y + 0.5 * h * k1)
+    k3 = rhs(1, y + 0.5 * h * k2)
+    k4 = rhs(2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _pack(parts) -> np.ndarray:
+    """The carried parts of a geodesic state (None: not carried), flattened end to end."""
+    return np.concatenate([p.ravel() for p in parts if p is not None])
+
+
+def _unpack(S: np.ndarray, layout) -> list:
+    """Inverse of :func:`_pack` for a ``layout`` of (slice, shape) or None per part.
+
+    Each part is a C-contiguous view, laid out in memory as it would be as a
+    separate array, so ufuncs on it give the same bits.
+    """
+    return [None if lay is None else S[lay[0]].reshape(lay[1]) for lay in layout]
 
 
 def _frame_defect(u0, u, alpha, beta):
@@ -110,28 +154,26 @@ def integrate_states(
     t1: float,
     step: float,
     with_frame: bool = True,
-    with_y: bool = True,
     frame0=None,
-    store_y: bool = True,
-    store_u: bool = True,
-    store_frame: bool = True,
-    store_momenta: bool = True,
-    store_defects: bool = True,
-    renorm_tol: float = 1e-9,
+    store: bool = True,
     drift_tol=None,
 ):
     """Integrate geodesics (and optionally frames) from t0 to t1.
 
     Returns a dict of fine-grid arrays in integration order; times are
-    monotone from t0 to t1 (possibly decreasing).  Raises
-    :class:`IntegratorDrift` when a conservation defect exceeds ``drift_tol``.
+    monotone from t0 to t1 (possibly decreasing).  K is tabulated whenever
+    the frame is carried.  With ``store`` the dict also holds every state
+    series (x, y, u0, u, alpha, beta), the momenta and the unit-speed
+    defect; without it y is not integrated and only the maximum defects and
+    the final state are kept.  Raises :class:`IntegratorDrift` when a
+    conservation defect exceeds ``drift_tol``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     x = np.array(np.atleast_1d(x0), dtype=float)
     m = x.shape[0]
     n = spec.n
-    y = np.array(np.atleast_2d(y0), dtype=float).reshape(m, n)
+    y = np.array(np.atleast_2d(y0), dtype=float).reshape(m, n) if store else None
     u0s = np.array(np.atleast_1d(u00), dtype=float)
     u = np.array(np.atleast_2d(u0vec), dtype=float).reshape(m, n)
 
@@ -154,25 +196,16 @@ def integrate_states(
             alpha = frame[:, :, 0].copy()
             beta = frame[:, :, 1:].copy()
 
-    out = {"times_fine": t0 + hf * np.arange(J), "m": m, "step": step}
-    if store_y:
-        out["x"] = np.empty((J, m))
-        out["y"] = np.empty((J, m, n)) if with_y else None
-    else:
-        out["x"] = np.empty((J, m))
-        out["y"] = None
-    if store_u:
-        out["u0"] = np.empty((J, m))
-        out["u"] = np.empty((J, m, n))
+    out = {"times_fine": t0 + hf * np.arange(J), "m": m}
     if with_frame:
         out["K"] = np.empty((J, m, n, n))
-        if store_frame:
-            out["alpha"] = np.empty((J, m, n))
-            out["beta"] = np.empty((J, m, n, n))
-    if store_momenta:
-        out["momenta"] = np.empty((J, m, n))
-    if store_defects:
-        out["unit_defect"] = np.empty((J, m))
+    series = {}
+    if store:
+        shapes = {"x": (m,), "y": (m, n), "u0": (m,), "u": (m, n), "alpha": (m, n),
+                  "beta": (m, n, n), "momenta": (m, n), "unit_defect": (m,)}
+        series = {key: np.empty((J,) + shape) for key, shape in shapes.items()
+                  if with_frame or key not in ("alpha", "beta")}
+        out.update(series)
 
     g0 = spec.log_derivatives(x)[0]
     p_init = _log_momenta(g0, u)
@@ -181,93 +214,56 @@ def integrate_states(
     p_scale = np.maximum(1.0, np.max(np.abs(p_init), axis=-1))
     max_unit = np.zeros(m)
     max_mom = np.zeros(m)
-    mom_alive = np.ones((m,), dtype=bool)
+    alive = np.ones((m,), dtype=bool)
     renorm_events = 0
 
-    def record(j):
-        nonlocal max_unit, max_mom, mom_alive
+    def record(j, state):
+        nonlocal max_unit, max_mom, alive
+        x, y, u0s, u, alpha, beta = state
         g, gp, gpp = spec.log_derivatives(x)
-        out["x"][j] = x
-        if store_y and with_y:
-            out["y"][j] = y
-        if store_u:
-            out["u0"][j] = u0s
-            out["u"][j] = u
         if with_frame:
             hcurv = gpp + gp * gp
             out["K"][j] = curvature_matrix_frame(hcurv, gp * gp, u0s, u, alpha, beta)
-            if store_frame:
-                out["alpha"][j] = alpha
-                out["beta"][j] = beta
         unit = np.abs(u0s * u0s + np.sum(u * u, axis=-1) - 1.0)
         max_unit = np.maximum(max_unit, unit)
-        if store_defects:
-            out["unit_defect"][j] = unit
         p = _log_momenta(g, u)
-        dead = np.any((np.abs(u) < _MOMENTUM_FLOOR) & (p_init != 0.0), axis=-1)
-        mom_alive = mom_alive & ~dead
-        defect = np.max(np.abs(p - p_init), axis=-1) / p_scale
-        max_mom = np.maximum(max_mom, np.where(mom_alive, defect, 0.0))
-        if store_momenta:
-            out["momenta"][j] = p
+        defect, dead = _momentum_defect(p, u, p_init, p_scale)
+        alive = alive & ~dead
+        max_mom = np.maximum(max_mom, np.where(alive, defect, 0.0))
+        if store:
+            for key, value in zip(_RECORD_KEYS, (*state, p, unit)):
+                if value is not None:
+                    series[key][j] = value
 
-    record(0)
+    state = [x, y, u0s, u, alpha, beta]
+    layout, start = [], 0
+    for part in state:
+        if part is None:
+            layout.append(None)
+        else:
+            layout.append((slice(start, start + part.size), part.shape))
+            start += part.size
+
+    def rhs(_stage, S):
+        return _pack(_geodesic_rhs(spec, *_unpack(S, layout)))
+
+    S = _pack(state)
+    record(0, state)
     for j in range(J - 1):
-        k1 = _geodesic_rhs(spec, x, u0s, u, alpha, beta, with_y)
-        k2 = _geodesic_rhs(
-            spec,
-            x + 0.5 * hf * k1[0],
-            u0s + 0.5 * hf * k1[2],
-            u + 0.5 * hf * k1[3],
-            None if alpha is None else alpha + 0.5 * hf * k1[4],
-            None if beta is None else beta + 0.5 * hf * k1[5],
-            with_y,
-        )
-        k3 = _geodesic_rhs(
-            spec,
-            x + 0.5 * hf * k2[0],
-            u0s + 0.5 * hf * k2[2],
-            u + 0.5 * hf * k2[3],
-            None if alpha is None else alpha + 0.5 * hf * k2[4],
-            None if beta is None else beta + 0.5 * hf * k2[5],
-            with_y,
-        )
-        k4 = _geodesic_rhs(
-            spec,
-            x + hf * k3[0],
-            u0s + hf * k3[2],
-            u + hf * k3[3],
-            None if alpha is None else alpha + hf * k3[4],
-            None if beta is None else beta + hf * k3[5],
-            with_y,
-        )
-        w = hf / 6.0
-        x = x + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        if with_y:
-            y = y + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        u0s = u0s + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        u = u + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        if alpha is not None:
-            alpha = alpha + w * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-            beta = beta + w * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
-            if (j + 1) % 2 == 0 and _frame_defect(u0s, u, alpha, beta) > renorm_tol:
-                alpha, beta = _renormalize_frame(u0s, u, alpha, beta)
+        S = _rk4_step(rhs, S, hf)
+        state = _unpack(S, layout)
+        if with_frame and (j + 1) % 2 == 0:
+            x, y, u0s, u, alpha, beta = state
+            if _frame_defect(u0s, u, alpha, beta) > _RENORM_TOL:
+                state[4:] = _renormalize_frame(u0s, u, alpha, beta)
+                S = _pack(state)
                 renorm_events += 1
-        record(j + 1)
+        record(j + 1, state)
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom
-    out["momentum_alive"] = mom_alive
-    out["momenta0"] = p_init
     out["renorm_events"] = renorm_events
-    out["final_state"] = {
-        "x": x.copy(),
-        "y": y.copy() if with_y else None,
-        "u0": u0s.copy(),
-        "u": u.copy(),
-        "alpha": None if alpha is None else alpha.copy(),
-        "beta": None if beta is None else beta.copy(),
-    }
+    out["final_state"] = dict(zip(_STATE_KEYS, state))
     if drift_tol is not None:
         worst_unit = float(np.max(max_unit))
         worst_mom = float(np.max(max_mom))
@@ -287,41 +283,11 @@ def conservation_scan(spec: WarpSpec, x0, y0, u00, u0vec, *, t_end: float, step:
     Returns (max_unit_defect, max_momentum_defect) arrays over the sample
     axis, measured on the fine grid over [0, t_end].
     """
-    x = np.array(np.atleast_1d(x0), dtype=float)
-    m = x.shape[0]
-    n = spec.n
-    u0s = np.array(np.atleast_1d(u00), dtype=float)
-    u = np.array(np.atleast_2d(u0vec), dtype=float).reshape(m, n)
-    n_coarse = int(round(abs(t_end) / step))
-    hf = np.sign(t_end) * step / 2.0
-    g0 = spec.log_derivatives(x)[0]
-    p_init = _log_momenta(g0, u)
-    p_scale = np.maximum(1.0, np.max(np.abs(p_init), axis=-1))
-    max_unit = np.zeros(m)
-    max_mom = np.zeros(m)
-    alive = np.ones(m, dtype=bool)
-
-    def probe():
-        nonlocal max_unit, max_mom, alive
-        g = spec.log_derivatives(x)[0]
-        unit = np.abs(u0s * u0s + np.sum(u * u, axis=-1) - 1.0)
-        max_unit = np.maximum(max_unit, unit)
-        p = _log_momenta(g, u)
-        alive = alive & ~np.any((np.abs(u) < _MOMENTUM_FLOOR) & (p_init != 0.0), axis=-1)
-        defect = np.max(np.abs(p - p_init), axis=-1) / p_scale
-        max_mom = np.maximum(max_mom, np.where(alive, defect, 0.0))
-
-    for _ in range(2 * n_coarse):
-        k1 = _geodesic_rhs(spec, x, u0s, u, None, None, False)
-        k2 = _geodesic_rhs(spec, x + 0.5 * hf * k1[0], u0s + 0.5 * hf * k1[2], u + 0.5 * hf * k1[3], None, None, False)
-        k3 = _geodesic_rhs(spec, x + 0.5 * hf * k2[0], u0s + 0.5 * hf * k2[2], u + 0.5 * hf * k2[3], None, None, False)
-        k4 = _geodesic_rhs(spec, x + hf * k3[0], u0s + hf * k3[2], u + hf * k3[3], None, None, False)
-        w = hf / 6.0
-        x = x + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u0s = u0s + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        u = u + w * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        probe()
-    return max_unit, max_mom
+    t_end = np.sign(t_end) * round(abs(t_end) / step) * step  # snap to the grid
+    run = integrate_states(
+        spec, x0, y0, u00, u0vec, t0=0.0, t1=float(t_end), step=step, with_frame=False, store=False
+    )
+    return run["max_unit_defect"], run["max_momentum_defect"]
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +295,13 @@ def conservation_scan(spec: WarpSpec, x0, y0, u00, u0vec, *, t_end: float, step:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_step(K0, Kh, K1, F, h, n):
-    def rhs(K, G):
-        top = G[:, :n]
-        return np.concatenate([G[:, n:], -np.einsum("mij,mjq->miq", K, top)], axis=1)
+def _jacobi_step(Ks, F, h, n):
+    """One RK4 step of (Y, Y')' = (Y', -K Y); Ks holds K at the start, midpoint and end."""
 
-    k1 = rhs(K0, F)
-    k2 = rhs(Kh, F + 0.5 * h * k1)
-    k3 = rhs(Kh, F + 0.5 * h * k2)
-    k4 = rhs(K1, F + h * k3)
-    return F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rhs(stage, G):
+        return np.concatenate([G[:, n:], -np.einsum("mij,mjq->miq", Ks[stage], G[:, :n])], axis=1)
+
+    return _rk4_step(rhs, F, h)
 
 
 def jacobi_ivp_march(K_fine: np.ndarray, step: float, Y0: np.ndarray, Yp0: np.ndarray):
@@ -352,7 +315,7 @@ def jacobi_ivp_march(K_fine: np.ndarray, step: float, Y0: np.ndarray, Yp0: np.nd
     out = np.empty((C + 1, m, 2 * n, F.shape[-1]))
     out[0] = F
     for c in range(C):
-        F = _jacobi_step(K_fine[2 * c], K_fine[2 * c + 1], K_fine[2 * c + 2], F, step, n)
+        F = _jacobi_step((K_fine[2 * c], K_fine[2 * c + 1], K_fine[2 * c + 2]), F, step, n)
         out[c + 1] = F
     return out[:, :, :n, :], out[:, :, n:, :]
 
@@ -391,7 +354,7 @@ def boundary_solve(
     while c != target:
         c2 = c + direction
         j0 = 2 * c
-        F = _jacobi_step(K_fine[j0], K_fine[j0 + direction], K_fine[j0 + 2 * direction], F, h, n)
+        F = _jacobi_step((K_fine[j0], K_fine[j0 + direction], K_fine[j0 + 2 * direction]), F, h, n)
         c = c2
         if np.max(np.abs(F)) > _RENORM_THRESHOLD:
             q, r = np.linalg.qr(F)

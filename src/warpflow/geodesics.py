@@ -12,8 +12,6 @@ orthonormal-basis variables (u0, u) = (x', f y'), see ``engine``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from . import engine
@@ -95,13 +93,13 @@ class GeodesicPath:
     step: float
     times_fine: np.ndarray
     x: np.ndarray
-    y: Optional[np.ndarray]
+    y: np.ndarray
     u0: np.ndarray
     u: np.ndarray
-    alpha: Optional[np.ndarray]
-    beta: Optional[np.ndarray]
-    K: Optional[np.ndarray]
-    momenta: Optional[np.ndarray]
+    alpha: np.ndarray
+    beta: np.ndarray
+    K: np.ndarray
+    momenta: np.ndarray
     unit_defect: np.ndarray
     max_unit_defect: float
     max_momentum_defect: float
@@ -138,33 +136,26 @@ class GeodesicPath:
 
     def state_at(self, t: float) -> UnitTangent:
         j = self.fine_index(t)
-        y = self.y[j] if self.y is not None else np.zeros(self.n)
-        return unit_tangent_from_direction(self.spec, self.x[j], y, self.u0[j], self.u[j])
+        return unit_tangent_from_direction(self.spec, self.x[j], self.y[j], self.u0[j], self.u[j])
 
     def frame_at(self, t: float) -> tuple:
-        if self.alpha is None:
-            raise DomainError("path was integrated without a frame")
         j = self.fine_index(t)
         return self.alpha[j], self.beta[j]
 
     def momentum_defect_series(self) -> np.ndarray:
-        if self.momenta is None:
-            raise DomainError("path stores no momenta")
         p0 = self.momenta[self.t0_index]
         scale = max(1.0, float(np.max(np.abs(p0))))
         return np.max(np.abs(self.momenta - p0[None, :]), axis=-1) / scale
 
 
+# the fine-grid series of a GeodesicPath, as stored by engine.integrate_states
+_SERIES = ("times_fine", "x", "y", "u0", "u", "alpha", "beta", "K", "momenta", "unit_defect")
+
+
 def _squeeze_run(run: dict, reverse: bool) -> dict:
     sl = slice(None, None, -1) if reverse else slice(None)
-    view = {}
-    for key in ("x", "u0", "unit_defect"):
-        view[key] = run[key][sl, 0].copy()
+    view = {key: run[key][sl, 0].copy() for key in _SERIES[1:]}
     view["times_fine"] = run["times_fine"][sl].copy()
-    view["y"] = None if run.get("y") is None else run["y"][sl, 0].copy()
-    view["u"] = run["u"][sl, 0].copy()
-    for key in ("alpha", "beta", "K", "momenta"):
-        view[key] = run[key][sl, 0].copy() if key in run else None
     return view
 
 
@@ -174,9 +165,7 @@ def integrate_geodesic(
     t_end: float,
     step: float = 1e-3,
     *,
-    store_frame: bool = True,
     drift_tol: float = 1e-7,
-    renorm_tol: float = 1e-9,
 ) -> GeodesicPath:
     """Integrate the geodesic through theta0 over [0, t_end] (t_end may be negative).
 
@@ -187,18 +176,7 @@ def integrate_geodesic(
     u0, u = theta0.frame_velocity(spec)
     t_end = np.sign(t_end) * round(abs(t_end) / step) * step  # snap to the grid
     run = engine.integrate_states(
-        spec,
-        [theta0.x],
-        [theta0.y],
-        [u0],
-        [u],
-        t0=0.0,
-        t1=float(t_end),
-        step=step,
-        with_frame=store_frame,
-        with_y=True,
-        renorm_tol=renorm_tol,
-        drift_tol=drift_tol,
+        spec, [theta0.x], [theta0.y], [u0], [u], t0=0.0, t1=float(t_end), step=step, drift_tol=drift_tol
     )
     reverse = t_end < 0
     view = _squeeze_run(run, reverse)
@@ -206,20 +184,56 @@ def integrate_geodesic(
         spec=spec,
         theta0=theta0,
         step=step,
-        times_fine=view["times_fine"],
-        x=view["x"],
-        y=view["y"],
-        u0=view["u0"],
-        u=view["u"],
-        alpha=view["alpha"],
-        beta=view["beta"],
-        K=view["K"],
-        momenta=view["momenta"],
-        unit_defect=view["unit_defect"],
+        **view,
         max_unit_defect=float(run["max_unit_defect"][0]),
         max_momentum_defect=float(run["max_momentum_defect"][0]),
         t0_index=len(view["times_fine"]) - 1 if reverse else 0,
         meta={"renorm_events": run["renorm_events"]},
+    )
+
+
+def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> GeodesicPath:
+    """The path grown to the grid window [t_lo, t_hi] by resuming RK4 from its end nodes.
+
+    Each end is continued from its stored state and frame and glued on;
+    defects of the new pieces are measured against the path's initial
+    momenta.  A run beyond ``drift_tol`` (None: unchecked) raises
+    :class:`IntegratorDrift`.
+    """
+    step = path.step
+    pieces = [{key: getattr(path, key) for key in _SERIES}]
+    max_unit = path.max_unit_defect
+    max_mom = path.max_momentum_defect
+    p0 = path.momenta[path.t0_index]
+    p_scale = max(1.0, float(np.max(np.abs(p0))))
+    t0_index = path.t0_index
+    for j, t_target, grows in ((-1, t_hi, t_hi > path.t_hi + 1e-12), (0, t_lo, t_lo < path.t_lo - 1e-12)):
+        if not grows:
+            continue
+        run = engine.integrate_states(
+            path.spec, [path.x[j]], [path.y[j]], [path.u0[j]], [path.u[j]],
+            t0=path.times_fine[j], t1=t_target, step=step,
+            frame0=(path.alpha[j][None], path.beta[j][None]), drift_tol=drift_tol,
+        )
+        max_unit = max(max_unit, float(run["max_unit_defect"][0]))
+        defect, dead = engine._momentum_defect(run["momenta"][:, 0], run["u"][:, 0], p0, p_scale)
+        alive = np.logical_and.accumulate(~dead)
+        max_mom = max(max_mom, float(np.max(np.where(alive, defect, 0.0))))
+        view = _squeeze_run(run, reverse=j == 0)
+        if j == 0:
+            pieces.insert(0, {key: v[:-1] for key, v in view.items()})
+            t0_index += len(view["times_fine"]) - 1
+        else:
+            pieces.append({key: v[1:] for key, v in view.items()})
+    return GeodesicPath(
+        spec=path.spec,
+        theta0=path.theta0,
+        step=step,
+        **{key: np.concatenate([piece[key] for piece in pieces], axis=0) for key in _SERIES},
+        max_unit_defect=max_unit,
+        max_momentum_defect=max_mom,
+        t0_index=t0_index,
+        meta=dict(path.meta),
     )
 
 
@@ -236,53 +250,13 @@ def integrate_window(
 
     The frame on the backward half is the backward continuation of the same
     parallel frame, so curvature matrices and Jacobi data are consistent
-    across the joint.
+    across the joint.  Both halves are checked against ``drift_tol``.
     """
     if t_lo > 0 or t_hi < 0:
         raise DomainError("window must contain t = 0")
     t_lo = -round(-t_lo / step) * step
-    t_hi = round(t_hi / step) * step
-    if t_lo == 0.0:
-        return integrate_geodesic(spec, theta0, t_hi, step, drift_tol=drift_tol)
-    u0, u = theta0.frame_velocity(spec)
-    vel = np.concatenate([[u0], u])[None, :]
-    frame = engine.complete_orthonormal_frame(vel)
-    frame0 = (frame[:, :, 0], frame[:, :, 1:])
-    kwargs = dict(step=step, with_frame=True, with_y=True, frame0=frame0, drift_tol=drift_tol)
-    back = engine.integrate_states(spec, [theta0.x], [theta0.y], [u0], [u], t0=0.0, t1=float(t_lo), **kwargs)
-    bview = _squeeze_run(back, reverse=True)
-    if t_hi > 0.0:
-        fwd = engine.integrate_states(spec, [theta0.x], [theta0.y], [u0], [u], t0=0.0, t1=float(t_hi), **kwargs)
-        fview = _squeeze_run(fwd, reverse=False)
-    else:
-        fview = {k: (v[-1:] if v is not None else None) for k, v in bview.items()}
-
-    def glue(a, b):
-        if a is None or b is None:
-            return None
-        return np.concatenate([a[:-1], b], axis=0)
-
-    merged = {key: glue(bview[key], fview[key]) for key in bview}
-    n_back = len(bview["times_fine"]) - 1
-    return GeodesicPath(
-        spec=spec,
-        theta0=theta0,
-        step=step,
-        times_fine=merged["times_fine"],
-        x=merged["x"],
-        y=merged["y"],
-        u0=merged["u0"],
-        u=merged["u"],
-        alpha=merged["alpha"],
-        beta=merged["beta"],
-        K=merged["K"],
-        momenta=merged["momenta"],
-        unit_defect=merged["unit_defect"],
-        max_unit_defect=float(max(back["max_unit_defect"][0], fwd["max_unit_defect"][0] if t_hi > 0 else 0.0)),
-        max_momentum_defect=float(max(back["max_momentum_defect"][0], fwd["max_momentum_defect"][0] if t_hi > 0 else 0.0)),
-        t0_index=n_back,
-        meta={},
-    )
+    path = integrate_geodesic(spec, theta0, t_hi, step, drift_tol=drift_tol)
+    return _resume(path, t_lo, path.t_hi, drift_tol)
 
 
 def extend_path(path: GeodesicPath, t_lo: float, t_hi: float) -> GeodesicPath:
@@ -290,65 +264,15 @@ def extend_path(path: GeodesicPath, t_lo: float, t_hi: float) -> GeodesicPath:
 
     Resumed RK4 from a stored node state reproduces the arithmetic of one
     uninterrupted run, so the extension is exact; the input path is left
-    untouched.
+    untouched.  Extensions are not checked against a drift tolerance; their
+    defects enter ``max_unit_defect`` and ``max_momentum_defect``.
     """
     step = path.step
     t_lo = -round(-min(t_lo, path.t_lo) / step) * step
     t_hi = round(max(t_hi, path.t_hi) / step) * step
     if t_lo >= path.t_lo - 1e-12 and t_hi <= path.t_hi + 1e-12:
         return path
-    if path.alpha is None or path.y is None:
-        raise DomainError("extension needs a fully stored path")
-
-    pieces = {key: [getattr(path, key)] for key in ("times_fine", "x", "y", "u0", "u", "alpha", "beta", "K", "momenta", "unit_defect")}
-    max_unit = path.max_unit_defect
-    max_mom = path.max_momentum_defect
-    extra_lo = 0
-
-    def run_from(j, t_target):
-        frame0 = (path.alpha[j][None], path.beta[j][None])
-        return engine.integrate_states(
-            path.spec, [path.x[j]], [path.y[j]], [path.u0[j]], [path.u[j]],
-            t0=path.times_fine[j], t1=t_target, step=step,
-            with_frame=True, with_y=True, frame0=frame0,
-        )
-
-    if t_hi > path.t_hi + 1e-12:
-        seg = engine_view = _squeeze_run(run_from(len(path.times_fine) - 1, t_hi), reverse=False)
-        for key in pieces:
-            pieces[key].append(engine_view[key][1:] if engine_view[key] is not None else None)
-        max_unit = max(max_unit, float(np.max(seg["unit_defect"])))
-    if t_lo < path.t_lo - 1e-12:
-        view = _squeeze_run(run_from(0, t_lo), reverse=True)
-        extra_lo = len(view["times_fine"]) - 1
-        for key in pieces:
-            pieces[key].insert(0, view[key][:-1] if view[key] is not None else None)
-        max_unit = max(max_unit, float(np.max(view["unit_defect"])))
-
-    merged = {
-        key: (np.concatenate(parts, axis=0) if parts[0] is not None else None)
-        for key, parts in pieces.items()
-    }
-    new = GeodesicPath(
-        spec=path.spec,
-        theta0=path.theta0,
-        step=step,
-        times_fine=merged["times_fine"],
-        x=merged["x"],
-        y=merged["y"],
-        u0=merged["u0"],
-        u=merged["u"],
-        alpha=merged["alpha"],
-        beta=merged["beta"],
-        K=merged["K"],
-        momenta=merged["momenta"],
-        unit_defect=merged["unit_defect"],
-        max_unit_defect=max_unit,
-        max_momentum_defect=max_mom,
-        t0_index=path.t0_index + extra_lo,
-        meta=dict(path.meta),
-    )
-    return new
+    return _resume(path, t_lo, t_hi, None)
 
 
 @dataclass(frozen=True)
@@ -372,8 +296,6 @@ class ParallelFrame:
 
 def parallel_frame(path: GeodesicPath) -> ParallelFrame:
     """The parallel perpendicular frame transported along the path."""
-    if path.alpha is None:
-        raise DomainError("path was integrated without a frame")
     return ParallelFrame(times_fine=path.times_fine, alpha=path.alpha, beta=path.beta)
 
 
@@ -396,24 +318,18 @@ def scalar_velocity_series(
         ell = np.full(nsteps + 1, np.inf * b0)
         return times, b, ell
     h = np.sign(t_end) * step if t_end != 0 else step
-    x = float(x0)
-    ell = float(np.log((1.0 + b0) / (1.0 - b0)))
-    xs = np.empty(nsteps + 1)
     ells = np.empty(nsteps + 1)
-    xs[0], ells[0] = x, ell
+    state = np.array([float(x0), np.log((1.0 + b0) / (1.0 - b0))])
+    ells[0] = state[1]
 
-    def rhs(xv, ev):
-        gp = float(spec.log_derivatives(np.asarray(xv, float))[1])
-        return np.tanh(ev / 2.0), 2.0 * gp
+    def rhs(_stage, state):
+        x, ell = state
+        gp = float(spec.log_derivatives(np.asarray(x, float))[1])
+        return np.array([np.tanh(ell / 2.0), 2.0 * gp])
 
     for i in range(nsteps):
-        k1 = rhs(x, ell)
-        k2 = rhs(x + 0.5 * h * k1[0], ell + 0.5 * h * k1[1])
-        k3 = rhs(x + 0.5 * h * k2[0], ell + 0.5 * h * k2[1])
-        k4 = rhs(x + h * k3[0], ell + h * k3[1])
-        x += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        ell += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        xs[i + 1], ells[i + 1] = x, ell
+        state = engine._rk4_step(rhs, state, h)
+        ells[i + 1] = state[1]
     return times, np.tanh(ells / 2.0), ells
 
 

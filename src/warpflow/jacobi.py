@@ -27,13 +27,7 @@ import numpy as np
 
 from . import engine
 from .errors import ConjugatePointDetected, DomainError, GreenNotConverged, VanishingJacobiField
-from .geodesics import (
-    GeodesicPath,
-    extend_path,
-    flip,
-    integrate_geodesic,
-    integrate_window,
-)
+from .geodesics import GeodesicPath, extend_path, flip, integrate_geodesic
 from .geometry import sectional_curvature_frame
 
 
@@ -116,14 +110,8 @@ def _as_batch(K_fine: np.ndarray) -> np.ndarray:
     return K_fine[:, None, :, :]
 
 
-def _require_K(path: GeodesicPath):
-    if path.K is None:
-        raise DomainError("path was integrated without frame/curvature data")
-
-
 def solve_jacobi_ivp(path: GeodesicPath, Y0, Yp0) -> MatrixJacobiSolution:
     """RK4 solve of Y'' + K Y = 0 along the path with given initial data."""
-    _require_K(path)
     n = path.n
     Y0 = np.asarray(Y0, dtype=float).reshape(n, n)
     Yp0 = np.asarray(Yp0, dtype=float).reshape(n, n)
@@ -133,28 +121,16 @@ def solve_jacobi_ivp(path: GeodesicPath, Y0, Yp0) -> MatrixJacobiSolution:
     )
 
 
-def _window_path(path: GeodesicPath, w_lo: float, w_hi: float, drift_tol: float) -> GeodesicPath:
-    if path.t_lo <= w_lo + 1e-12 and path.t_hi >= w_hi - 1e-12:
-        return path
-    if path.y is not None and path.alpha is not None:
-        return extend_path(path, min(w_lo, path.t_lo), max(w_hi, path.t_hi))
-    lo = min(w_lo, path.t_lo, 0.0)
-    hi = max(w_hi, path.t_hi, 0.0)
-    if lo == 0.0:
-        return integrate_geodesic(path.spec, path.theta0, hi, path.step, drift_tol=drift_tol)
-    return integrate_window(path.spec, path.theta0, lo, hi, path.step, drift_tol=drift_tol)
+def _boundary_on_window(path: GeodesicPath, r: float, out_lo_t: float, out_hi_t: float):
+    """Two-point solution with Y(0)=I, Y(r)=0 on [out_lo_t, out_hi_t], with a sample axis of 1.
 
-
-def _boundary_on_window(
-    path: GeodesicPath, r: float, out_lo_t: float, out_hi_t: float, drift_tol: float
-):
-    """Two-point solution with Y(0)=I, Y(r)=0, returned on [out_lo_t, out_hi_t]."""
+    Returns (Y, Yp, extended path, times, snapped r).
+    """
     step = path.step
     out_lo_t = round(out_lo_t / step) * step
     out_hi_t = round(out_hi_t / step) * step
     r_snap = round(r / step) * step
-    wpath = _window_path(path, min(out_lo_t, r_snap, 0.0), max(out_hi_t, r_snap, 0.0), drift_tol)
-    _require_K(wpath)
+    wpath = extend_path(path, min(out_lo_t, r_snap, 0.0), max(out_hi_t, r_snap, 0.0))
     anchor_c = wpath.coarse_index(r_snap)
     zero_c = wpath.coarse_index(0.0)
     out_lo_c = wpath.coarse_index(out_lo_t)
@@ -170,34 +146,58 @@ def _boundary_on_window(
             f"two-point solve with endpoint r={r_snap} is singular"
         ) from exc
     times = wpath.times[out_lo_c : out_hi_c + 1].copy()
-    return wpath, times, Y[:, 0], Yp[:, 0], r_snap
+    return Y, Yp, wpath, times, r_snap
 
 
 def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> MatrixJacobiSolution:
     """The two-point solution Y(0) = I, Y(r) = 0, sampled on the path grid.
 
-    The path is extended (re-integrated over the larger window) when r lies
-    beyond it.  The endpoint condition holds exactly by construction.
+    The path is extended (integration resumed from its ends) when r lies
+    beyond it; extensions are not drift-checked, so ``drift_tol`` has no
+    effect.  The endpoint condition holds exactly by construction.
     """
     if r == 0.0:
         raise DomainError("endpoint r must be nonzero")
     out_lo = path.t_lo if r > 0 else max(path.t_lo, round(r / path.step) * path.step)
     out_hi = min(path.t_hi, round(r / path.step) * path.step) if r > 0 else path.t_hi
-    wpath, times, Y, Yp, r_snap = _boundary_on_window(path, r, min(out_lo, 0.0), max(out_hi, 0.0), drift_tol)
-    sol = MatrixJacobiSolution(path=wpath, times=times, Y=Y, Yp=Yp, kind="boundary", r=r_snap)
+    Y, Yp, wpath, times, r_snap = _boundary_on_window(path, r, min(out_lo, 0.0), max(out_hi, 0.0))
+    sol = MatrixJacobiSolution(path=wpath, times=times, Y=Y[:, 0], Yp=Yp[:, 0], kind="boundary", r=r_snap)
     if times[0] - 1e-12 <= r_snap <= times[-1] + 1e-12:
-        sol.meta["endpoint_norm"] = float(np.max(np.abs(Y[sol.index_of(r_snap)])))
+        sol.meta["endpoint_norm"] = float(np.max(np.abs(sol.Y[sol.index_of(r_snap)])))
     else:
         # the sweep anchors the solution frame at Y(r) = 0, exact by construction
         sol.meta["endpoint_norm"] = 0.0
     return sol
 
 
-def _ladder(start: float, step: float, max_doublings: int):
-    r = round(start / step) * step
+def _ladder(solve, r0: float, step: float, max_doublings: int, tol: float):
+    """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid) until successive ones agree.
+
+    ``solve(r)`` returns a tuple whose first entry is Y with shape
+    (nodes, m, n, n).  Iterates are compared per sample; the ladder stops
+    once every sample's gap is below ``tol`` or after ``max_doublings``
+    doublings.  Returns the last solve, the rungs used and one array of
+    per-sample gaps per doubling.
+    """
+    if max_doublings < 0:
+        raise DomainError("max_doublings must be >= 0")
+    r = round(r0 / step) * step
+    rungs, gaps = [], []
+    prev = None
     for _ in range(max_doublings + 1):
-        yield r
+        result = solve(r)
+        rungs.append(r)
+        Y = result[0]
+        if prev is not None:
+            # normalize per node so growing (unstable-side) iterates are
+            # compared at relative accuracy; for contracting solutions with
+            # |Y| <= 1 this matches the absolute gap up to a factor 2
+            gaps.append(np.max(np.abs(Y - prev) / (1.0 + np.abs(Y)), axis=(0, 2, 3)))
+            if float(np.max(gaps[-1])) < tol:
+                break
+        prev = Y
         r = round(2.0 * r / step) * step
+    return result, rungs, gaps
 
 
 def _green_limit(
@@ -208,32 +208,21 @@ def _green_limit(
     r0: float,
     max_doublings: int,
     window: tuple,
-    drift_tol: float,
 ):
     w_lo, w_hi = window
     r_start = side * max(r0, abs(w_hi) + 4.0, abs(w_lo) + 4.0, t_obs + 4.0)
-    prev = None
-    gaps = []
-    ladder = []
-    result = None
     work = path
-    for r in _ladder(r_start, path.step, max_doublings):
-        wpath, times, Y, Yp, _ = _boundary_on_window(work, r, w_lo, w_hi, drift_tol)
-        work = wpath
-        ladder.append(r)
-        if prev is not None:
-            # normalize per node so growing (unstable-side) iterates are
-            # compared at relative accuracy; for contracting solutions with
-            # |Y| <= 1 this matches the absolute gap up to a factor 2
-            gaps.append(float(np.max(np.abs(Y - prev) / (1.0 + np.abs(Y)))))
-            result = (wpath, times, Y, Yp)
-            if gaps[-1] < tol:
-                break
-        prev = Y
-        result = (wpath, times, Y, Yp)
-    meta = {"r_ladder": ladder, "gaps": gaps, "final_gap": gaps[-1] if gaps else None}
+
+    def solve(r):
+        nonlocal work
+        Y, Yp, work, times, _ = _boundary_on_window(work, r, w_lo, w_hi)
+        return Y, Yp, work, times
+
+    (Y, Yp, wpath, times), rungs, gaps = _ladder(solve, r_start, path.step, max_doublings, tol)
+    gaps = [float(g[0]) for g in gaps]
+    meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1] if gaps else None}
     converged = bool(gaps and gaps[-1] < tol)
-    return result, meta, converged
+    return (wpath, times, Y[:, 0], Yp[:, 0]), meta, converged
 
 
 def green_stable(
@@ -253,10 +242,11 @@ def green_stable(
     gap drops below ``tol``.  ``r0`` is raised automatically so every rung
     lies beyond the observation window.  On failure to converge within
     ``max_doublings`` doublings, :class:`GreenNotConverged` carries the last
-    iterate and the gap sequence.
+    iterate and the gap sequence.  The path is extended without a drift
+    check, so ``drift_tol`` has no effect here.
     """
     window = window or (0.0, t_obs)
-    result, meta, converged = _green_limit(path, +1, t_obs, tol, r0, max_doublings, window, drift_tol)
+    result, meta, converged = _green_limit(path, +1, t_obs, tol, r0, max_doublings, window)
     wpath, times, Y, Yp = result
     sol = MatrixJacobiSolution(path=wpath, times=times, Y=Y, Yp=Yp, kind="green_stable", meta=meta)
     zero = sol.index_of(0.0)
@@ -288,9 +278,7 @@ def green_unstable(
     the ladder tolerance.
     """
     if route == "direct":
-        result, meta, converged = _green_limit(
-            path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs), drift_tol
-        )
+        result, meta, converged = _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
         wpath, times, Y, Yp = result
         sol = MatrixJacobiSolution(
             path=wpath, times=times, Y=Y, Yp=Yp, kind="green_unstable", meta=meta
@@ -401,8 +389,15 @@ def riccati_along(solution: MatrixJacobiSolution, w, t_max: Optional[float] = No
     return RiccatiSeries(times=times, z=z, kappa=kappa, norms=norms, residual=residual)
 
 
-def _stacked(solution: MatrixJacobiSolution) -> np.ndarray:
-    return np.concatenate([solution.Y, solution.Yp], axis=1)
+def _flow_norms(Y: np.ndarray, Yp: np.ndarray, zero: int) -> np.ndarray:
+    """Largest singular value of [Y; Y'] pinv([Y; Y'] at node ``zero``), per node and sample.
+
+    Y and Yp have shape (nodes, m, n, q); the result has shape (nodes, m).
+    """
+    M = np.concatenate([Y, Yp], axis=2)
+    pinv0 = np.linalg.pinv(M[zero])
+    prod = np.einsum("wmiq,mqr->wmir", M, pinv0)
+    return np.linalg.svd(prod, compute_uv=False)[:, :, 0]
 
 
 def dphi_norm_series(solution: MatrixJacobiSolution) -> np.ndarray:
@@ -411,11 +406,8 @@ def dphi_norm_series(solution: MatrixJacobiSolution) -> np.ndarray:
     Largest singular value of [Y(t); Y'(t)] times the pseudo-inverse of the
     initial stacked matrix, so the value at the normalization time is 1.
     """
-    M = _stacked(solution)
     zero = solution.index_of(0.0) if solution.times[0] <= 0.0 <= solution.times[-1] else 0
-    pinv0 = np.linalg.pinv(M[zero])
-    prod = np.einsum("ciq,qr->cir", M, pinv0)
-    return np.linalg.svd(prod, compute_uv=False)[:, 0]
+    return _flow_norms(solution.Y[:, None], solution.Yp[:, None], zero)[:, 0]
 
 
 def dphi_norm(solution: MatrixJacobiSolution, t: float) -> float:

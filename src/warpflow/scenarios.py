@@ -15,16 +15,13 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConditionAViolated, DomainError
 from .warp import WarpSpec, _refined_max
-
-CLI_SCENARIOS = ("anosov-warped-torus", "counterexample-sqrt", "constant-curvature")
-
 
 def build_anosov_example(a: float, n: int = 2) -> WarpSpec:
     """Warp g(x) = a x - cos x + sin x with the growth constants attached."""
@@ -107,14 +104,41 @@ def build_constant_curvature(k: float, n: int = 2) -> WarpSpec:
     )
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A catalog entry: its builder, the float parameters it takes besides n,
+    and the ``anosov-check`` preset used for flags the user leaves unset."""
+
+    build: Callable[..., WarpSpec]
+    params: tuple
+    preset: dict
+
+
+SCENARIOS = {
+    "anosov-warped-torus": Scenario(
+        build_anosov_example, ("a",),
+        dict(step=0.02, samples=112, t_min=200.0, horizon=220.0,
+             green_tol=1e-8, green_max_doublings=12, drift_tol=1e-5),
+    ),
+    "counterexample-sqrt": Scenario(
+        build_counterexample, (),
+        dict(step=0.05, samples=64, t_min=100.0, horizon=120.0,
+             green_tol=1e-4, green_max_doublings=2, drift_tol=1e-4),
+    ),
+    "constant-curvature": Scenario(
+        build_constant_curvature, ("k",),
+        dict(step=0.005, samples=16, t_min=5.0, horizon=10.0,
+             green_tol=1e-8, green_max_doublings=12, drift_tol=1e-6),
+    ),
+}
+
+
 def build_scenario(name: str, *, a: float = 3.0, k: float = 1.0, n: int = 2) -> WarpSpec:
-    if name == "anosov-warped-torus":
-        return build_anosov_example(a=a, n=n)
-    if name == "counterexample-sqrt":
-        return build_counterexample(n=n)
-    if name == "constant-curvature":
-        return build_constant_curvature(k=k, n=n)
-    raise DomainError(f"unknown scenario {name!r}; choose from {CLI_SCENARIOS}")
+    entry = SCENARIOS.get(name)
+    if entry is None:
+        raise DomainError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIOS)}")
+    values = {"a": a, "k": k}
+    return entry.build(n=n, **{key: values[key] for key in entry.params})
 
 
 @dataclass(frozen=True)

@@ -239,11 +239,5 @@ def warp_from_config_section(section: dict) -> "WarpSpec":
     from . import scenarios
 
     kind = section.get("kind", "").strip()
-    n = int(section.get("n", "2"))
-    if kind == "anosov-warped-torus":
-        return scenarios.build_anosov_example(a=float(section.get("a", "3.0")), n=n)
-    if kind == "counterexample-sqrt":
-        return scenarios.build_counterexample(n=n)
-    if kind == "constant-curvature":
-        return scenarios.build_constant_curvature(k=float(section.get("k", "1.0")), n=n)
-    raise DomainError(f"unknown warp kind {kind!r}")
+    params = {key: float(section[key]) for key in ("a", "k") if key in section}
+    return scenarios.build_scenario(kind, n=int(section.get("n", "2")), **params)

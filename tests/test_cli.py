@@ -50,6 +50,18 @@ class TestConfig:
         assert flat["horizon"] == "50"
 
 
+    @pytest.mark.parametrize("line", ["chunk_size = 0", "green_max_doublings = -1"])
+    def test_bad_run_count_is_an_error(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[run]\n{line}\n")
+        rc = main([
+            "anosov-check", "--config", str(cfg_file), "--scenario", "constant-curvature",
+            "--samples", "2", "--tmin", "1", "--horizon", "2", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
+
+
 class TestCurvatureCommand:
     def test_constant_curvature_rows(self, tmp_path):
         out = tmp_path / "o"

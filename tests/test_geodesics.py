@@ -4,6 +4,7 @@ import pytest
 from warpflow import engine
 from warpflow.errors import DomainError, IntegratorDrift
 from warpflow.geodesics import (
+    extend_path,
     flip,
     integrate_geodesic,
     integrate_window,
@@ -99,6 +100,16 @@ class TestIntegrateGeodesic:
         j0 = win.t0_index
         assert np.allclose(win.x[j0:], fwd.x, atol=1e-14)
         assert np.allclose(win.K[j0:], fwd.K, atol=1e-12)
+
+
+    def test_extension_reports_its_momentum_defect(self, anosov_spec):
+        th = unit_tangent_from_direction(anosov_spec, 0.3, np.zeros(2), 0.3, [0.8, 0.52])
+        path = integrate_geodesic(anosov_spec, th, 2.0, 0.02, drift_tol=1e-5)
+        longer = extend_path(path, 0.0, 40.0)
+        series_max = float(np.max(longer.momentum_defect_series()))
+        assert series_max > 2.0 * path.max_momentum_defect
+        assert longer.max_momentum_defect == pytest.approx(series_max, rel=1e-12)
+        assert path.max_momentum_defect < series_max  # the input path is untouched
 
 
 class TestScalarVelocity:
