@@ -32,7 +32,8 @@ _RENORM_TOL = 1e-9
 _MOMENTUM_FLOOR = 1e-300
 # order of the state the geodesic kernel steps, and of the series it stores
 _STATE_KEYS = ("x", "y", "u0", "u", "alpha", "beta")
-_RECORD_KEYS = _STATE_KEYS + ("momenta", "unit_defect")
+# nodes per block of an unstored run (see integrate_states)
+_BLOCK_NODES = 256
 
 
 def complete_orthonormal_frame(velocity: np.ndarray) -> np.ndarray:
@@ -51,7 +52,7 @@ def complete_orthonormal_frame(velocity: np.ndarray) -> np.ndarray:
 def _log_momenta(g, u):
     """Fiber momenta p_i = f u_i evaluated as sign(u_i) exp(g + log|u_i|)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = g[:, None] + np.log(np.abs(u))
+        logs = g[..., None] + np.log(np.abs(u))
         p = np.sign(u) * np.exp(logs)
     return np.where(np.abs(u) < _MOMENTUM_FLOOR, 0.0, p)
 
@@ -63,14 +64,17 @@ def _momentum_defect(p, u, p_init, p_scale):
     momentum sits below ``_MOMENTUM_FLOOR``; callers mask the defect from the
     first dead node on.
     """
-    dead = np.any((np.abs(u) < _MOMENTUM_FLOOR) & (p_init != 0.0), axis=-1)
-    return np.max(np.abs(p - p_init), axis=-1) / p_scale, dead
+    dead = ((np.abs(u) < _MOMENTUM_FLOOR) & (p_init != 0.0)).any(axis=-1)
+    return np.abs(p - p_init).max(axis=-1) / p_scale, dead
 
 
-def _geodesic_rhs(spec, x, y, u0, u, alpha, beta):
-    """Derivatives of the state (x, y, u0, u, alpha, beta); None parts stay None."""
-    g, gp, _ = spec.log_derivatives(x)
-    s2 = np.sum(u * u, axis=-1)
+def _geodesic_rhs(spec, x, y, u0, u, alpha, beta, derivs=None):
+    """Derivatives of the state (x, y, u0, u, alpha, beta); None parts stay None.
+
+    ``derivs`` is ``spec.log_derivatives(x)`` when the caller already has it.
+    """
+    g, gp, _ = spec.log_derivatives(x) if derivs is None else derivs
+    s2 = (u * u).sum(axis=-1)
     dx = u0
     du0 = gp * s2
     du = -(gp * u0)[:, None] * u
@@ -86,13 +90,15 @@ def _geodesic_rhs(spec, x, y, u0, u, alpha, beta):
     return dx, dy, du0, du, dal, dbe
 
 
-def _rk4_step(rhs, y, h):
+def _rk4_step(rhs, y, h, k1=None):
     """One classic RK4 step of y' = rhs(stage, y) over a step h.
 
     ``stage`` counts half steps into the step (0, 1, 1, 2), for right-hand
-    sides that read coefficients tabulated on a half-step grid.
+    sides that read coefficients tabulated on a half-step grid.  ``k1`` is
+    ``rhs(0, y)`` when the caller already has it.
     """
-    k1 = rhs(0, y)
+    if k1 is None:
+        k1 = rhs(0, y)
     k2 = rhs(1, y + 0.5 * h * k1)
     k3 = rhs(1, y + 0.5 * h * k2)
     k4 = rhs(2, y + h * k3)
@@ -123,7 +129,7 @@ def _frame_defect(u0, u, alpha, beta):
     vecs[:, 1:, 1:] = beta
     gram = np.einsum("mid,mjd->mij", vecs, vecs)
     gram -= np.eye(nf + 1)
-    return np.max(np.abs(gram))
+    return np.abs(gram).max()
 
 
 def _renormalize_frame(u0, u, alpha, beta):
@@ -199,13 +205,18 @@ def integrate_states(
     out = {"times_fine": t0 + hf * np.arange(J), "m": m}
     if with_frame:
         out["K"] = np.empty((J, m, n, n))
-    series = {}
+    state = [x, y, u0s, u, alpha, beta]
+    # The loop tabulates each node's state and log-derivatives; curvature
+    # matrices and conservation defects are then evaluated a block of nodes
+    # at a time.  A stored run is one block, so its table is the output.
+    block = J if store else min(J, _BLOCK_NODES)
+    table = {key: np.empty((block,) + part.shape) for key, part in zip(_STATE_KEYS, state)
+             if part is not None}
     if store:
-        shapes = {"x": (m,), "y": (m, n), "u0": (m,), "u": (m, n), "alpha": (m, n),
-                  "beta": (m, n, n), "momenta": (m, n), "unit_defect": (m,)}
-        series = {key: np.empty((J,) + shape) for key, shape in shapes.items()
-                  if with_frame or key not in ("alpha", "beta")}
-        out.update(series)
+        out.update(table)
+        out["momenta"] = np.empty((J, m, n))
+        out["unit_defect"] = np.empty((J, m))
+    table.update({key: np.empty((block, m)) for key in ("g", "gp", "gpp")})
 
     g0 = spec.log_derivatives(x)[0]
     p_init = _log_momenta(g0, u)
@@ -217,25 +228,39 @@ def integrate_states(
     alive = np.ones((m,), dtype=bool)
     renorm_events = 0
 
-    def record(j, state):
+    def flush(j0, count):
+        """K and the defects of the ``count`` tabulated nodes from node j0 on."""
         nonlocal max_unit, max_mom, alive
-        x, y, u0s, u, alpha, beta = state
-        g, gp, gpp = spec.log_derivatives(x)
+        tab = {key: value[:count] for key, value in table.items()}
+        nodes = slice(j0, j0 + count)
+        u0s, u, gp = tab["u0"], tab["u"], tab["gp"]
         if with_frame:
-            hcurv = gpp + gp * gp
-            out["K"][j] = curvature_matrix_frame(hcurv, gp * gp, u0s, u, alpha, beta)
-        unit = np.abs(u0s * u0s + np.sum(u * u, axis=-1) - 1.0)
-        max_unit = np.maximum(max_unit, unit)
-        p = _log_momenta(g, u)
+            gp2 = gp * gp
+            out["K"][nodes] = curvature_matrix_frame(
+                tab["gpp"] + gp2, gp2, u0s, u, tab["alpha"], tab["beta"]
+            )
+        unit = np.abs(u0s * u0s + (u * u).sum(axis=-1) - 1.0)
+        p = _log_momenta(tab["g"], u)
         defect, dead = _momentum_defect(p, u, p_init, p_scale)
-        alive = alive & ~dead
-        max_mom = np.maximum(max_mom, np.where(alive, defect, 0.0))
+        alive_nodes = alive & np.logical_and.accumulate(~dead, axis=0)
+        max_unit = np.maximum(max_unit, unit.max(axis=0))
+        max_mom = np.maximum(max_mom, np.where(alive_nodes, defect, 0.0).max(axis=0))
+        alive = alive_nodes[-1]
         if store:
-            for key, value in zip(_RECORD_KEYS, (*state, p, unit)):
-                if value is not None:
-                    series[key][j] = value
+            out["momenta"][nodes] = p
+            out["unit_defect"][nodes] = unit
 
-    state = [x, y, u0s, u, alpha, beta]
+    def record(j, state):
+        """Tabulate node j; returns spec.log_derivatives at its x."""
+        i = j % block
+        derivs = spec.log_derivatives(state[0])
+        for key, value in zip(_STATE_KEYS + ("g", "gp", "gpp"), (*state, *derivs)):
+            if value is not None:
+                table[key][i] = value
+        if i == block - 1 or j == J - 1:
+            flush(j - i, i + 1)
+        return derivs
+
     layout, start = [], 0
     for part in state:
         if part is None:
@@ -248,9 +273,10 @@ def integrate_states(
         return _pack(_geodesic_rhs(spec, *_unpack(S, layout)))
 
     S = _pack(state)
-    record(0, state)
+    derivs = record(0, state)
     for j in range(J - 1):
-        S = _rk4_step(rhs, S, hf)
+        k1 = _pack(_geodesic_rhs(spec, *state, derivs=derivs))
+        S = _rk4_step(rhs, S, hf, k1)
         state = _unpack(S, layout)
         if with_frame and (j + 1) % 2 == 0:
             x, y, u0s, u, alpha, beta = state
@@ -258,7 +284,7 @@ def integrate_states(
                 state[4:] = _renormalize_frame(u0s, u, alpha, beta)
                 S = _pack(state)
                 renorm_events += 1
-        record(j + 1, state)
+        derivs = record(j + 1, state)
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom
@@ -356,7 +382,7 @@ def boundary_solve(
         j0 = 2 * c
         F = _jacobi_step((K_fine[j0], K_fine[j0 + direction], K_fine[j0 + 2 * direction]), F, h, n)
         c = c2
-        if np.max(np.abs(F)) > _RENORM_THRESHOLD:
+        if np.abs(F).max() > _RENORM_THRESHOLD:
             q, r = np.linalg.qr(F)
             F = q
             events[c] = r

@@ -323,9 +323,8 @@ def scalar_velocity_series(
     ells[0] = state[1]
 
     def rhs(_stage, state):
-        x, ell = state
-        gp = float(spec.log_derivatives(np.asarray(x, float))[1])
-        return np.array([np.tanh(ell / 2.0), 2.0 * gp])
+        gp = spec.log_derivatives(state[:1])[1]
+        return np.array([np.tanh(state[1] / 2.0), 2.0 * gp[0]])
 
     for i in range(nsteps):
         state = engine._rk4_step(rhs, state, h)

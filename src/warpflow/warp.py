@@ -91,7 +91,7 @@ class WarpSpec:
     def log_derivatives(self, x):
         """Return (g, g', g'') at x with g = log f.  Vectorized."""
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError("non-finite x")
         a, b, c = self.triple(x)
         a = np.asarray(a, dtype=float)
@@ -99,7 +99,7 @@ class WarpSpec:
         c = np.asarray(c, dtype=float)
         if self.mode == "exponential":
             return a, b, c
-        if np.any(a <= 0.0):
+        if (a <= 0.0).any():
             raise DomainError("warp function must be positive")
         gp = b / a
         gpp = c / a - gp * gp
