@@ -215,7 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tmin", dest="t_min", type=float, help="time floor of the averaging window")
     common.add_argument("--horizon", type=float, help="time ceiling of the run")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--workers", type=int, help="parallel chunks (0 = auto); results are worker-independent")
+    common.add_argument(
+        "--workers", type=int,
+        help="threads running the chunks of start data (0 = auto); a flipped datum equal to a "
+             "sampled one is integrated once, and the ladder and the frame and sweep "
+             "renormalizations decide per sample, so results do not depend on --workers or chunk_size",
+    )
     common.add_argument("--x0", type=float, help="start base coordinate")
     common.add_argument("--b0", type=float, help="start forward speed in [-1, 1]")
     common.add_argument("--tend", dest="t_end", type=float, help="trajectory end time")

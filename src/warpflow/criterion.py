@@ -233,8 +233,11 @@ def direction_covering(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic covering of the unit sphere in R^dim, poles included.
 
     dim = 2 uses equispaced angles, dim = 3 a Fibonacci lattice plus the two
-    poles, higher dims a seeded Gaussian covering plus the poles.  The set is
-    symmetric under negation so flipped start data stay inside the sample.
+    poles, higher dims a seeded Gaussian covering plus the poles.  Points come
+    in antipodal pairs, so the set is symmetric under negation when ``count``
+    is even; an odd count drops the negative of the last point.  A prefix of
+    the set, as :func:`sample_thetas` takes for its last x block, is in
+    general not symmetric.
     """
     if count < 2:
         raise DomainError("need at least the two poles")
@@ -279,7 +282,13 @@ def sample_thetas(
 
     Base points take y = 0 (the flat fiber is homogeneous) and x from a
     golden-ratio sequence over one period, or over [0, x_span] when the warp
-    is not periodic.  Returns (thetas, description).
+    is not periodic.  Each x takes the ``directions`` velocities of
+    :func:`direction_covering` in turn, and the last x only as many as
+    ``count`` leaves.  So the flipped start data stay inside the sample when
+    ``count`` is a multiple of an even ``directions``; otherwise the last
+    block lacks the negatives of some of its velocities: with n = 3 (14
+    directions) and ``count`` = 20, 16 of the 20 flipped data are in the
+    sample.  Returns (thetas, description).
     """
     dim = spec.n + 1
     if directions <= 0:
@@ -313,6 +322,11 @@ def sample_thetas(
 # ---------------------------------------------------------------------------
 
 
+def _datum_key(theta: UnitTangent) -> tuple:
+    """Coordinates (x, y, dx, dy) of a start datum as floats, so -0.0 and 0.0 compare equal."""
+    return (float(theta.x), *theta.y.tolist(), float(theta.dx), *theta.dy.tolist())
+
+
 def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_max_doublings,
                     drift_tol, series_stride):
     """Forward pass + stable ladder + reductions for one bundle of start data."""
@@ -334,8 +348,8 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     tail = run["final_state"]
     del run
 
-    def extend(to_r):
-        nonlocal K_fine, max_unit, tail
+    def extend(to_r, live):
+        nonlocal K_fine, tail
         have = (len(K_fine) - 1) * step / 2.0
         seg = engine.integrate_states(
             spec, tail["x"], None, tail["u0"], tail["u"],
@@ -343,16 +357,19 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
             frame0=(tail["alpha"], tail["beta"]), **opts,
         )
         K_fine = np.concatenate([K_fine, seg["K"][1:]], axis=0)
-        max_unit = np.maximum(max_unit, seg["max_unit_defect"])
+        # a frozen sample's defect covers only the rungs it used
+        max_unit[live] = np.maximum(max_unit[live], seg["max_unit_defect"][live])
         tail = seg["final_state"]
 
-    def solve(r):
+    def solve(r, live):
         need_c = int(round(r / step))
         if 2 * need_c + 1 > len(K_fine):
-            extend(r)
-        return engine.boundary_solve(K_fine[: 2 * need_c + 1], step, need_c, 0, 0, n_coarse)
+            extend(r, live)
+        K = K_fine[: 2 * need_c + 1]
+        # copy the K table only when some samples are frozen
+        return engine.boundary_solve(K if len(live) == m else K[:, live], step, need_c, 0, 0, n_coarse)
 
-    (Y, Yp), used, gaps_hist = _ladder(solve, green_r0, step, green_max_doublings, green_tol)
+    (Y, Yp), _, gaps_hist = _ladder(solve, m, green_r0, step, green_max_doublings, green_tol)
 
     final_gaps = gaps_hist[-1] if gaps_hist else np.full(m, np.inf)
     green_ok = final_gaps < green_tol
@@ -376,7 +393,6 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
         "norms": norms,
         "green_ok": green_ok,
         "green_gap": final_gaps,
-        "ladder": used,
         "degenerate": degenerate,
         "drifted": drifted,
         "max_unit_defect": max_unit,
@@ -493,8 +509,12 @@ def run_anosov_check(
 
     Stable data come from the sample itself; unstable data reuse the stable
     construction along the velocity-reversed sample (the flip involution
-    conjugates the two).  Work is chunked; worker count only parallelizes the
-    fixed chunks, so results do not depend on it.
+    conjugates the two).  A flipped datum that equals a base datum is
+    integrated once and its results serve both sides.  The distinct data are
+    cut into chunks of ``chunk_size``, which ``workers`` threads run in
+    parallel; the ladder and the frame and sweep renormalizations decide per
+    sample, so per-sample results do not depend on ``chunk_size`` or
+    ``workers``.
     """
     horizon = round(horizon / step) * step
     if not horizon > 0:
@@ -509,7 +529,12 @@ def run_anosov_check(
     base, desc = sample_thetas(spec, samples, seed, x_span=x_span)
     batch = base + [flip(th) for th in base]
     m = len(base)
-    chunks = [batch[i : i + chunk_size] for i in range(0, len(batch), chunk_size)]
+    # each distinct start datum is integrated once, in order of first
+    # appearance; ``index`` maps the 2m sample order to the distinct list
+    slots = {}
+    index = np.array([slots.setdefault(_datum_key(th), len(slots)) for th in batch])
+    distinct = [batch[i] for i in np.unique(index, return_index=True)[1]]
+    chunks = [distinct[i : i + chunk_size] for i in range(0, len(distinct), chunk_size)]
 
     kwargs = dict(
         step=step, horizon=horizon, green_tol=green_tol, green_r0=green_r0,
@@ -522,15 +547,18 @@ def run_anosov_check(
     else:
         results = [_chunk_pipeline(spec, ch, **kwargs) for ch in chunks]
 
-    # stitch chunk outputs back into sample order
-    norms = np.concatenate([r["norms"] for r in results], axis=1)
-    series_vals = np.concatenate([r["series_values"] for r in results], axis=1)
-    jnorms = np.concatenate([r["Jnorms"] for r in results], axis=1)
-    green_ok = np.concatenate([r["green_ok"] for r in results])
-    green_gap = np.concatenate([r["green_gap"] for r in results])
-    degenerate = np.concatenate([r["degenerate"] for r in results])
-    drifted = np.concatenate([r["drifted"] for r in results])
-    unit_defects = np.concatenate([r["max_unit_defect"] for r in results])
+    # stitch chunk outputs together and gather them into the 2m sample order
+    def gather(key, axis=0):
+        return np.concatenate([r[key] for r in results], axis=axis).take(index, axis=axis)
+
+    norms = gather("norms", axis=1)
+    series_vals = gather("series_values", axis=1)
+    jnorms = gather("Jnorms", axis=1)
+    green_ok = gather("green_ok")
+    green_gap = gather("green_gap")
+    degenerate = gather("degenerate")
+    drifted = gather("drifted")
+    unit_defects = gather("max_unit_defect")
     stimes = results[0]["series_times"]
     jtimes = results[0]["Jnorms_times"]
     times = results[0]["times"]

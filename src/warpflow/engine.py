@@ -120,7 +120,7 @@ def _unpack(S: np.ndarray, layout) -> list:
 
 
 def _frame_defect(u0, u, alpha, beta):
-    """Max deviation of [velocity; fields] from an orthonormal set."""
+    """Max deviation of [velocity; fields] from an orthonormal set, per sample."""
     m, nf = alpha.shape
     vecs = np.empty((m, nf + 1, 1 + u.shape[1]))
     vecs[:, 0, 0] = u0
@@ -129,7 +129,7 @@ def _frame_defect(u0, u, alpha, beta):
     vecs[:, 1:, 1:] = beta
     gram = np.einsum("mid,mjd->mij", vecs, vecs)
     gram -= np.eye(nf + 1)
-    return np.abs(gram).max()
+    return np.abs(gram).max(axis=(1, 2))
 
 
 def _renormalize_frame(u0, u, alpha, beta):
@@ -171,8 +171,11 @@ def integrate_states(
     the frame is carried.  With ``store`` the dict also holds every state
     series (x, y, u0, u, alpha, beta), the momenta and the unit-speed
     defect; without it y is not integrated and only the maximum defects and
-    the final state are kept.  Raises :class:`IntegratorDrift` when a
-    conservation defect exceeds ``drift_tol``.
+    the final state are kept.  A sample's frame is re-orthonormalized when
+    its own orthonormality defect exceeds ``_RENORM_TOL``, so every sample
+    gets the bits it would get alone; ``renorm_events`` counts the steps at
+    which at least one sample was renormalized.  Raises
+    :class:`IntegratorDrift` when a conservation defect exceeds ``drift_tol``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -280,9 +283,10 @@ def integrate_states(
         state = _unpack(S, layout)
         if with_frame and (j + 1) % 2 == 0:
             x, y, u0s, u, alpha, beta = state
-            if _frame_defect(u0s, u, alpha, beta) > _RENORM_TOL:
-                state[4:] = _renormalize_frame(u0s, u, alpha, beta)
-                S = _pack(state)
+            fire = _frame_defect(u0s, u, alpha, beta) > _RENORM_TOL
+            if fire.any():
+                # alpha and beta are views of S: the renormalized rows land in S
+                alpha[fire], beta[fire] = _renormalize_frame(u0s[fire], u[fire], alpha[fire], beta[fire])
                 renorm_events += 1
         derivs = record(j + 1, state)
 
@@ -357,8 +361,10 @@ def boundary_solve(
     """Two-point solution Y(zero) = I, Y(anchor) = 0 on coarse nodes [out_lo, out_hi].
 
     The solution subspace is propagated from the vanishing end, where it is
-    the dominant direction of integration, with periodic QR renormalization
-    of the (2n x n) frame.  The per-node right factors are restored when the
+    the dominant direction of integration, with QR renormalization of each
+    sample's (2n x n) frame whenever its own entries exceed
+    ``_RENORM_THRESHOLD``, so a sample's result does not depend on the other
+    samples of the batch.  The per-node right factors are restored when the
     output is normalized to Y = I at ``zero_c``, so the result is the exact
     two-point solution without overflow or cancellation at any horizon.
     """
@@ -382,35 +388,33 @@ def boundary_solve(
         j0 = 2 * c
         F = _jacobi_step((K_fine[j0], K_fine[j0 + direction], K_fine[j0 + 2 * direction]), F, h, n)
         c = c2
-        if np.abs(F).max() > _RENORM_THRESHOLD:
-            q, r = np.linalg.qr(F)
-            F = q
-            events[c] = r
+        crossed = np.abs(F).max(axis=(1, 2)) > _RENORM_THRESHOLD
+        if crossed.any():
+            F[crossed], r = np.linalg.qr(F[crossed])
+            events[c] = (crossed, r)
         if out_lo <= c <= out_hi:
             frames[c - out_lo] = F
 
-    # Right factors H_c relating each stored frame to the one at zero_c.
+    # Right factors H_c relating each stored frame to the one at zero_c; the
+    # factor of a renormalization applies to the samples it renormalized.
+    def restore(cur, key, undo):
+        if key in events:
+            crossed, r = events[key]
+            if undo:
+                cur[crossed] = np.linalg.solve(r, cur[crossed])
+            else:
+                cur[crossed] = np.einsum("mij,mjk->mik", r, cur[crossed])
+        return cur
+
     eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
     H = np.empty((width, m, n, n))
     H[zero_c - out_lo] = eye
     cur = eye.copy()
     for node in range(zero_c + 1, out_hi + 1):
-        key = node - 1 if direction < 0 else node
-        if key in events:
-            if direction < 0:
-                cur = np.linalg.solve(events[key], cur)
-            else:
-                cur = np.einsum("mij,mjk->mik", events[key], cur)
-        H[node - out_lo] = cur
+        H[node - out_lo] = restore(cur, node - 1 if direction < 0 else node, direction < 0)
     cur = eye.copy()
     for node in range(zero_c - 1, out_lo - 1, -1):
-        key = node if direction < 0 else node + 1
-        if key in events:
-            if direction < 0:
-                cur = np.einsum("mij,mjk->mik", events[key], cur)
-            else:
-                cur = np.linalg.solve(events[key], cur)
-        H[node - out_lo] = cur
+        H[node - out_lo] = restore(cur, node if direction < 0 else node + 1, direction > 0)
 
     full = np.einsum("wmiq,wmqr->wmir", frames, H)
     tz = full[zero_c - out_lo][:, :n, :]

@@ -170,34 +170,43 @@ def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> 
     return sol
 
 
-def _ladder(solve, r0: float, step: float, max_doublings: int, tol: float):
-    """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid) until successive ones agree.
+def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: float):
+    """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid), per sample until successive ones agree.
 
-    ``solve(r)`` returns a tuple whose first entry is Y with shape
-    (nodes, m, n, n).  Iterates are compared per sample; the ladder stops
-    once every sample's gap is below ``tol`` or after ``max_doublings``
-    doublings.  Returns the last solve, the rungs used and one array of
-    per-sample gaps per doubling.
+    ``solve(r, live)`` returns (Y, Yp) for the samples ``live`` (an index
+    array into the m samples), each with shape (nodes, len(live), n, n).
+    Iterates are compared per sample: a sample is frozen at the first rung
+    whose gap to the previous rung is below ``tol`` and keeps that rung's
+    (Y, Yp) and gap, so its result does not depend on the other samples.
+    Later rungs run only for the samples still live, until none is or after
+    ``max_doublings`` doublings.  Returns the kept (Y, Yp), the rungs run and
+    one array of per-sample gaps per doubling, in which a frozen sample
+    repeats its final gap.
     """
     if max_doublings < 0:
         raise DomainError("max_doublings must be >= 0")
     r = round(r0 / step) * step
+    live = np.arange(m)
     rungs, gaps = [], []
-    prev = None
+    Y = Yp = None
     for _ in range(max_doublings + 1):
-        result = solve(r)
+        Yr, Ypr = solve(r, live)
         rungs.append(r)
-        Y = result[0]
-        if prev is not None:
+        if Y is None:
+            Y, Yp = Yr, Ypr
+        else:
             # normalize per node so growing (unstable-side) iterates are
             # compared at relative accuracy; for contracting solutions with
             # |Y| <= 1 this matches the absolute gap up to a factor 2
-            gaps.append(np.max(np.abs(Y - prev) / (1.0 + np.abs(Y)), axis=(0, 2, 3)))
-            if float(np.max(gaps[-1])) < tol:
+            gap = np.max(np.abs(Yr - Y[:, live]) / (1.0 + np.abs(Yr)), axis=(0, 2, 3))
+            Y[:, live], Yp[:, live] = Yr, Ypr
+            gaps.append(gaps[-1].copy() if gaps else np.empty(m))
+            gaps[-1][live] = gap
+            live = live[~(gap < tol)]
+            if len(live) == 0:
                 break
-        prev = Y
         r = round(2.0 * r / step) * step
-    return result, rungs, gaps
+    return (Y, Yp), rungs, gaps
 
 
 def _green_limit(
@@ -212,17 +221,18 @@ def _green_limit(
     w_lo, w_hi = window
     r_start = side * max(r0, abs(w_hi) + 4.0, abs(w_lo) + 4.0, t_obs + 4.0)
     work = path
+    times = None
 
-    def solve(r):
-        nonlocal work
+    def solve(r, _live):
+        nonlocal work, times
         Y, Yp, work, times, _ = _boundary_on_window(work, r, w_lo, w_hi)
-        return Y, Yp, work, times
+        return Y, Yp
 
-    (Y, Yp, wpath, times), rungs, gaps = _ladder(solve, r_start, path.step, max_doublings, tol)
+    (Y, Yp), rungs, gaps = _ladder(solve, 1, r_start, path.step, max_doublings, tol)
     gaps = [float(g[0]) for g in gaps]
     meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1] if gaps else None}
     converged = bool(gaps and gaps[-1] < tol)
-    return (wpath, times, Y[:, 0], Yp[:, 0]), meta, converged
+    return (work, times, Y[:, 0], Yp[:, 0]), meta, converged
 
 
 def green_stable(

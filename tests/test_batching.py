@@ -1,0 +1,79 @@
+"""A sample's results do not depend on the other samples of its batch.
+
+Each batched kernel is run on a batch and on every sample of it alone; the
+per-sample outputs must agree bit for bit.
+"""
+import numpy as np
+
+from warpflow import engine
+from warpflow.criterion import _chunk_pipeline, sample_thetas
+
+
+def _start_arrays(spec, thetas):
+    vel = [th.frame_velocity(spec) for th in thetas]
+    return (np.array([th.x for th in thetas]), np.array([v[0] for v in vel]),
+            np.stack([v[1] for v in vel]))
+
+
+def test_frame_renormalization_is_per_sample(anosov_spec):
+    # seed 3, samples 2-7: alone, three of these frames stay orthonormal to
+    # 1e-9 over [0, 4] and three are renormalized
+    thetas = sample_thetas(anosov_spec, 14, seed=3)[0][2:8]
+
+    def run(x0, u00, u):
+        return engine.integrate_states(anosov_spec, x0, None, u00, u, t0=0.0, t1=4.0, step=0.02, store=False)
+
+    x0, u00, u = _start_arrays(anosov_spec, thetas)
+    batch = run(x0, u00, u)
+    solo = [run(x0[s:s + 1], u00[s:s + 1], u[s:s + 1]) for s in range(len(thetas))]
+    events = [r["renorm_events"] for r in solo]
+    assert min(events) == 0 and max(events) > 0
+    assert batch["renorm_events"] > 0
+    for s, alone in enumerate(solo):
+        assert np.array_equal(batch["K"][:, s], alone["K"][:, 0])
+        assert np.array_equal(batch["max_unit_defect"][s], alone["max_unit_defect"][0])
+        for key, value in batch["final_state"].items():
+            if value is not None:
+                assert np.array_equal(value[s], alone["final_state"][key][0]), key
+
+
+def test_sweep_renormalization_is_per_sample():
+    # constant curvature -k per sample: sinh growth crosses the threshold
+    # only for k = 1 over r = 20; k = 1e-4 grows about linearly
+    step, r = 0.1, 20.0
+    nodes = 2 * int(round(r / step)) + 1
+    t = 0.5 * step * np.arange(nodes)
+    ks = (1.0, 1e-4, 0.01)
+    K = np.empty((nodes, len(ks), 2, 2))
+    for s, k in enumerate(ks):
+        K[:, s] = -k * np.array([[1.0, 0.1], [0.1, 0.5]])[None] * (1.0 + 0.3 * np.sin(t))[:, None, None]
+    anchor = (nodes - 1) // 2
+    span = 60
+
+    # the unrenormalized sweep from the anchor: only the first sample crosses
+    Yb, Ypb = engine.jacobi_ivp_march(K[::-1], step, np.zeros((3, 2, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)))
+    peak = np.maximum(np.abs(Yb).max(axis=(0, 2, 3)), np.abs(Ypb).max(axis=(0, 2, 3)))
+    assert peak[0] > engine._RENORM_THRESHOLD
+    assert np.all(peak[1:] < engine._RENORM_THRESHOLD)
+
+    Y, Yp = engine.boundary_solve(K, step, anchor, 0, 0, span)
+    for s in range(len(ks)):
+        Ys, Yps = engine.boundary_solve(K[:, s:s + 1], step, anchor, 0, 0, span)
+        assert np.array_equal(Y[:, s], Ys[:, 0])
+        assert np.array_equal(Yp[:, s], Yps[:, 0])
+
+
+def test_ladder_freezes_each_sample(anosov_spec):
+    # with r0 = 4 the pole sample needs a third rung, the oblique one
+    # converges at the second; each must keep its own rung
+    thetas = sample_thetas(anosov_spec, 14, seed=3)[0]
+    pair = [thetas[0], thetas[4]]
+    kw = dict(step=0.02, horizon=2.0, green_tol=1e-8, green_r0=4.0, green_max_doublings=6,
+              drift_tol=1e-5, series_stride=25)
+    batch = _chunk_pipeline(anosov_spec, pair, **kw)
+    for s, th in enumerate(pair):
+        alone = _chunk_pipeline(anosov_spec, [th], **kw)
+        for key in ("norms", "series_values", "Jnorms"):
+            assert np.array_equal(batch[key][:, s], alone[key][:, 0]), key
+        for key in ("green_gap", "green_ok", "max_unit_defect", "drifted", "degenerate"):
+            assert np.array_equal(batch[key][s], alone[key][0]), key

@@ -220,6 +220,63 @@ class TestVerdicts:
         for sa, sb in zip(a.series, b.series):
             assert np.array_equal(sa.values, sb.values)
 
+    def test_chunk_size_does_not_change_results(self, anosov_spec):
+        # seed 3 mixes samples whose frames are renormalized with samples
+        # whose frames are not, and samples that converge at different rungs
+        kw = dict(step=0.02, seed=3, samples=6, t_min=1.5, horizon=2.0, green_r0=4.0,
+                  green_tol=1e-8, drift_tol=1e-5, workers=1)
+        runs = [run_anosov_check(anosov_spec, chunk_size=size, **kw) for size in (1, 3, 28)]
+        ref = runs[0]
+        for other in runs[1:]:
+            assert np.array_equal(ref.report.B_est, other.report.B_est)
+            assert len(ref.series) == len(other.series)
+            for sa, sb in zip(ref.series, other.series):
+                assert np.array_equal(sa.times, sb.times)
+                assert np.array_equal(sa.values, sb.values)
+            for pa, pb in ((ref.stable_profile, other.stable_profile),
+                           (ref.unstable_profile, other.unstable_profile)):
+                assert np.array_equal(pa[0], pb[0])
+                assert np.array_equal(pa[1], pb[1])
+            assert ref.report.failures == other.report.failures
+
+
+class TestDeduplication:
+    def test_flip_closed_profiles_are_equal(self, const_result):
+        assert np.array_equal(const_result.stable_profile[0], const_result.unstable_profile[0])
+        assert np.array_equal(const_result.stable_profile[1], const_result.unstable_profile[1])
+
+    def test_each_distinct_datum_integrated_once(self, const_spec, monkeypatch):
+        from warpflow import engine
+
+        # five directions are not closed under negation: one flipped datum is new
+        base, _ = sample_thetas(const_spec, 5, seed=0)
+        rows = [[th.x, *th.y, th.dx, *th.dy] for th in base]
+        rows += [[th.x, *th.y, -th.dx, *(-th.dy)] for th in base]
+        distinct = len(np.unique(np.array(rows) + 0.0, axis=0))  # + 0.0 maps -0.0 to 0.0
+        assert len(base) < distinct < 2 * len(base)
+
+        first_legs = []
+        integrate = engine.integrate_states
+
+        def counting(*args, **kwargs):
+            out = integrate(*args, **kwargs)
+            if kwargs.get("frame0") is None:
+                first_legs.append(out["m"])
+            return out
+
+        monkeypatch.setattr(engine, "integrate_states", counting)
+        run_anosov_check(const_spec, step=0.05, seed=0, samples=5, t_min=2.0, horizon=3.0,
+                         green_tol=1e-8, drift_tol=1e-5, workers=1, chunk_size=4)
+        assert sum(first_legs) == distinct
+
+    def test_unconverged_failures_listed_for_both_sides(self, counter_spec):
+        res = run_anosov_check(
+            counter_spec, step=0.1, seed=0, samples=6, t_min=10.0, horizon=12.0,
+            green_tol=1e-4, green_max_doublings=1, drift_tol=1e-3, workers=1,
+        )
+        gaps = {(f["theta"], f["side"]) for f in res.report.failures if f["kind"] == "green_gap"}
+        assert gaps == {(s, side) for s in range(6) for side in ("stable", "flip")}
+
 
 class TestDominance:
     def test_axis_sample_dominated(self, anosov_spec):
