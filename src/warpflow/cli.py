@@ -143,7 +143,7 @@ def cmd_anosov_check(cfg: RunConfig) -> int:
         t_min=cfg.t_min, horizon=cfg.horizon,
         green_tol=cfg.green_tol, green_max_doublings=cfg.green_max_doublings,
         envelope_slack=cfg.envelope_slack, drift_tol=cfg.drift_tol,
-        workers=cfg.effective_workers, chunk_size=cfg.chunk_size, bounds=bounds,
+        chunk_size=cfg.chunk_size, bounds=bounds,
     )
     report = result.report
     payload = report.json_dict()
@@ -217,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory")
     common.add_argument(
         "--workers", type=int,
-        help="threads running the chunks of start data (0 = auto); a flipped datum equal to a "
-             "sampled one is integrated once, and the ladder and the frame and sweep "
-             "renormalizations decide per sample, so results do not depend on --workers or chunk_size",
+        help="accepted for compatibility; starts no threads: the chunks of start data run in "
+             "sequence, a flipped datum equal to a sampled one is integrated once, and results "
+             "do not depend on chunk_size",
     )
     common.add_argument("--x0", type=float, help="start base coordinate")
     common.add_argument("--b0", type=float, help="start forward speed in [-1, 1]")

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_type_hints
 
@@ -60,10 +59,6 @@ class RunConfig:
         if self.green_max_doublings < 0:
             raise DomainError("green_max_doublings must be >= 0")
         return self
-
-    @property
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
     def resolved_dict(self) -> dict:
         out = {}

@@ -15,7 +15,6 @@ check supports but cannot prove that property, so verdicts are worded
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -343,31 +342,35 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     run = engine.integrate_states(
         spec, x0, None, u00, u0v, t0=0.0, t1=round(green_r0 / step) * step, **opts
     )
-    K_fine = run["K"]
+    # per node (k1, k2); K = k2 I + (k1 - k2) c c^T is assembled only on the output window
+    table = run["curvatures"]
+    c = run["frame"][1]
     max_unit = run["max_unit_defect"]
     tail = run["final_state"]
     del run
 
     def extend(to_r, live):
-        nonlocal K_fine, tail
-        have = (len(K_fine) - 1) * step / 2.0
+        nonlocal table, tail
+        have = (len(table) - 1) * step / 2.0
         seg = engine.integrate_states(
             spec, tail["x"], None, tail["u0"], tail["u"],
             t0=0.0, t1=round((to_r - have) / step) * step,
             frame0=(tail["alpha"], tail["beta"]), **opts,
         )
-        K_fine = np.concatenate([K_fine, seg["K"][1:]], axis=0)
+        table = np.concatenate([table, seg["curvatures"][1:]], axis=0)
         # a frozen sample's defect covers only the rungs it used
         max_unit[live] = np.maximum(max_unit[live], seg["max_unit_defect"][live])
         tail = seg["final_state"]
 
     def solve(r, live):
         need_c = int(round(r / step))
-        if 2 * need_c + 1 > len(K_fine):
+        if 2 * need_c + 1 > len(table):
             extend(r, live)
-        K = K_fine[: 2 * need_c + 1]
-        # copy the K table only when some samples are frozen
-        return engine.boundary_solve(K if len(live) == m else K[:, live], step, need_c, 0, 0, n_coarse)
+        tab = table[: 2 * need_c + 1]
+        # copy the table only when some samples are frozen
+        return engine.boundary_solve(
+            tab if len(live) == m else tab[:, live], step, need_c, 0, 0, n_coarse, c=c[live]
+        )
 
     (Y, Yp), _, gaps_hist = _ladder(solve, m, green_r0, step, green_max_doublings, green_tol)
 
@@ -376,7 +379,7 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     drifted = max_unit > drift_tol
 
     times = step * np.arange(w)
-    K_coarse = K_fine[: 2 * n_coarse + 1 : 2]
+    K_coarse = engine.split_matrix(table[: 2 * n_coarse + 1 : 2], c)
     Us0 = Yp[0]
     dirs = np.stack([sasaki_orthonormal_directions(Us0[s]) for s in range(m)])
     averages, Jnorm, degenerate = _curvature_averages(Y, K_coarse, dirs, times)
@@ -511,10 +514,10 @@ def run_anosov_check(
     construction along the velocity-reversed sample (the flip involution
     conjugates the two).  A flipped datum that equals a base datum is
     integrated once and its results serve both sides.  The distinct data are
-    cut into chunks of ``chunk_size``, which ``workers`` threads run in
-    parallel; the ladder and the frame and sweep renormalizations decide per
-    sample, so per-sample results do not depend on ``chunk_size`` or
-    ``workers``.
+    cut into chunks of ``chunk_size``, run one after the other; the ladder
+    and the sweep rescaling decide per sample, so per-sample results do not
+    depend on ``chunk_size``.  ``workers`` is accepted for compatibility and
+    starts no threads.
     """
     horizon = round(horizon / step) * step
     if not horizon > 0:
@@ -541,11 +544,7 @@ def run_anosov_check(
         green_max_doublings=green_max_doublings, drift_tol=drift_tol,
         series_stride=series_stride,
     )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ch: _chunk_pipeline(spec, ch, **kwargs), chunks))
-    else:
-        results = [_chunk_pipeline(spec, ch, **kwargs) for ch in chunks]
+    results = [_chunk_pipeline(spec, ch, **kwargs) for ch in chunks]
 
     # stitch chunk outputs together and gather them into the 2m sample order
     def gather(key, axis=0):

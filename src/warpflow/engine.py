@@ -1,38 +1,49 @@
 """Batched fixed-step integration kernels.
 
 Everything here works on arrays with a leading sample axis m, so one call
-integrates a whole bundle of geodesics (plus their parallel frames and
-curvature matrices) in lockstep.  Public wrappers in ``geodesics`` and
-``jacobi`` use m = 1.
+integrates a whole bundle of geodesics in lockstep.  Public wrappers in
+``geodesics`` and ``jacobi`` use m = 1.
 
 Grids.  A run with requested step h is integrated at the half step h/2 and
 every half-step node is stored ("fine grid", index j, J = 2*C + 1 nodes).
 Coarse node c sits at fine index 2c.  Jacobi solves then march at step h and
-read curvature matrices at fine nodes for their midpoint stages.
+read curvature coefficients at fine nodes for their midpoint stages.
 
 State is kept in the orthonormal basis (d_x, f^{-1} d_{y_i}): the velocity is
-(u0, u) with u0 = x' and u_i = f y_i', the frame fields are rows (alpha_i,
-beta_i).  In this basis all dynamical quantities stay O(1) even while f(x)
-sweeps hundreds of orders of magnitude; the conserved fiber momenta
-p_i = f^2 y_i' = f u_i are evaluated through logs.
+(u0, u) with u0 = x' and u_i = f y_i'.  In this basis all dynamical
+quantities stay O(1) even while f(x) sweeps hundreds of orders of magnitude;
+the conserved fiber momenta p_i = f^2 y_i' = f u_i are evaluated through logs.
+
+Frame and curvature in closed form.  Since u' is a multiple of u, the fiber
+direction e = u/|u| is constant and the geodesic stays in the totally
+geodesic slice spanned by d_x and e.  E1 = (-s, u0 e) with s = <u, e> (the
+velocity v turned by 90 degrees in the slice) and every (0, w) with w normal
+to e are parallel, so a parallel frame is V_i = c_i E1 + (0, w_i) with
+constant c and w, and its curvature matrix is K = k2 I + (k1 - k2) c c^T with
+
+    k1 = -h |v|^4,   k2 = -(u0^2 h + s^2 g'^2),   h = g'' + g'^2,
+
+the slice curvature and that of the planes (v, (0, w)) (|v| = 1 up to the
+unit-speed defect; |v|^4 = |v|^2 |E1|^2).  The kernel tabulates (k1, k2) per
+node, and Y'' + K Y = 0 splits into y'' + k y = 0 for k1 and k2 with
+Y = y1 c c^T + y2 (I - c c^T).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import IntegratorDrift
-from .geometry import curvature_matrix_frame
 from .warp import WarpSpec
 
+# a sweep's scalar pair is rescaled by a power of two once it exceeds this
 _RENORM_THRESHOLD = 1e6
-# frame orthonormality defect above which the frame is re-orthonormalized
-_RENORM_TOL = 1e-9
 # below this, fiber-velocity components sit in (or neighbor) the subnormal
 # range where their relative precision is gone; momentum diagnostics stop
 _MOMENTUM_FLOOR = 1e-300
 # order of the state the geodesic kernel steps, and of the series it stores
-_STATE_KEYS = ("x", "y", "u0", "u", "alpha", "beta")
-# nodes per block of an unstored run (see integrate_states)
+_STATE_KEYS = ("x", "y", "u0", "u")
+# nodes per block of an unstored run (see integrate_states), steps per
+# block of transfer matrices in a sweep (see boundary_solve)
 _BLOCK_NODES = 256
 
 
@@ -40,13 +51,46 @@ def complete_orthonormal_frame(velocity: np.ndarray) -> np.ndarray:
     """Complete unit rows (m, d) to orthonormal frames (m, d-1, d) normal to them."""
     v = np.asarray(velocity, dtype=float)
     m, d = v.shape
-    out = np.empty((m, d - 1, d))
-    eye = np.eye(d)
-    for s in range(m):
-        basis = np.concatenate([v[s][:, None], eye], axis=1)
-        q = np.linalg.qr(basis, mode="reduced")[0]
-        out[s] = q[:, 1:].T
-    return out
+    basis = np.concatenate([v[:, :, None], np.broadcast_to(np.eye(d), (m, d, d))], axis=2)
+    q = np.linalg.qr(basis, mode="reduced")[0]
+    return q[:, :, 1:].transpose(0, 2, 1).copy()
+
+
+def _frame_coefficients(u0, u, alpha, beta):
+    """Constant coefficients (e, c, w) of frames V_i = (alpha_i, beta_i) at velocities (u0, u).
+
+    e (m, n) is the fiber direction of the velocity (the first unit vector
+    where the fiber velocity is 0), c (m, n) holds c_i = <V_i, E1> and
+    w (m, n, n) the fiber parts w_i = beta_i - c_i u0 e, so that
+    V_i = c_i E1 + (0, w_i) with E1 = (-s, u0 e) and s = <u, e>.
+    """
+    # scaling by the largest component keeps subnormal fiber velocities' direction
+    big = np.abs(u).max(axis=-1, keepdims=True)
+    v = np.where(big == 0.0, np.eye(u.shape[-1])[0], u / np.where(big == 0.0, 1.0, big))
+    e = v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    s = (u * e).sum(axis=-1)
+    c = -s[:, None] * alpha + u0[:, None] * np.einsum("mik,mk->mi", beta, e)
+    w = beta - c[:, :, None] * (u0[:, None, None] * e[:, None, :])
+    return e, c, w
+
+
+def slice_frame(frame, u0, u):
+    """Frame fields (alpha, beta) at states (u0, u) with leading axes (..., m), from (e, c, w)."""
+    e, c, w = frame
+    s = (u * e).sum(axis=-1)
+    alpha = -c * s[..., None]
+    beta = w + c[:, :, None] * (u0[..., None, None] * e[:, None, :])
+    return alpha, beta
+
+
+def split_matrix(pairs, c):
+    """a1 c c^T + a2 (I - c c^T) from pairs (a1, a2) (..., m, 2) and c (m, n).
+
+    Curvature matrices from (k1, k2), two-point solutions from (y1, y2).
+    """
+    a1, a2 = pairs[..., 0], pairs[..., 1]
+    cc = c[:, :, None] * c[:, None, :]
+    return a2[..., None, None] * np.eye(c.shape[-1]) + (a1 - a2)[..., None, None] * cc
 
 
 def _log_momenta(g, u):
@@ -68,8 +112,8 @@ def _momentum_defect(p, u, p_init, p_scale):
     return np.abs(p - p_init).max(axis=-1) / p_scale, dead
 
 
-def _geodesic_rhs(spec, x, y, u0, u, alpha, beta, derivs=None):
-    """Derivatives of the state (x, y, u0, u, alpha, beta); None parts stay None.
+def _geodesic_rhs(spec, x, y, u0, u, derivs=None):
+    """Derivatives of the state (x, y, u0, u); y may be None (not carried).
 
     ``derivs`` is ``spec.log_derivatives(x)`` when the caller already has it.
     """
@@ -83,11 +127,7 @@ def _geodesic_rhs(spec, x, y, u0, u, alpha, beta, derivs=None):
         with np.errstate(over="ignore"):
             scale = np.exp(-g)
         dy = np.where(u == 0.0, 0.0, scale[:, None] * u)
-    dal = dbe = None
-    if alpha is not None:
-        dal = gp[:, None] * np.einsum("mik,mk->mi", beta, u)
-        dbe = -gp[:, None, None] * alpha[:, :, None] * u[:, None, :]
-    return dx, dy, du0, du, dal, dbe
+    return dx, dy, du0, du
 
 
 def _rk4_step(rhs, y, h, k1=None):
@@ -119,36 +159,6 @@ def _unpack(S: np.ndarray, layout) -> list:
     return [None if lay is None else S[lay[0]].reshape(lay[1]) for lay in layout]
 
 
-def _frame_defect(u0, u, alpha, beta):
-    """Max deviation of [velocity; fields] from an orthonormal set, per sample."""
-    m, nf = alpha.shape
-    vecs = np.empty((m, nf + 1, 1 + u.shape[1]))
-    vecs[:, 0, 0] = u0
-    vecs[:, 0, 1:] = u
-    vecs[:, 1:, 0] = alpha
-    vecs[:, 1:, 1:] = beta
-    gram = np.einsum("mid,mjd->mij", vecs, vecs)
-    gram -= np.eye(nf + 1)
-    return np.abs(gram).max(axis=(1, 2))
-
-
-def _renormalize_frame(u0, u, alpha, beta):
-    """Modified Gram-Schmidt of the fields against the velocity, via QR."""
-    m, nf = alpha.shape
-    d = 1 + u.shape[1]
-    cols = np.empty((m, d, nf + 1))
-    vnorm = np.sqrt(u0 * u0 + np.sum(u * u, axis=-1))
-    cols[:, 0, 0] = u0 / vnorm
-    cols[:, 1:, 0] = u / vnorm[:, None]
-    cols[:, 0, 1:] = alpha
-    cols[:, 1:, 1:] = beta.transpose(0, 2, 1)
-    q, r = np.linalg.qr(cols)
-    sign = np.sign(np.einsum("mii->mi", r))
-    sign = np.where(sign == 0.0, 1.0, sign)
-    q = q * sign[:, None, :]
-    return q[:, 0, 1:].copy(), q[:, 1:, 1:].transpose(0, 2, 1).copy()
-
-
 def integrate_states(
     spec: WarpSpec,
     x0,
@@ -164,17 +174,17 @@ def integrate_states(
     store: bool = True,
     drift_tol=None,
 ):
-    """Integrate geodesics (and optionally frames) from t0 to t1.
+    """Integrate geodesics from t0 to t1, with the curvature coefficients of their frames.
 
     Returns a dict of fine-grid arrays in integration order; times are
-    monotone from t0 to t1 (possibly decreasing).  K is tabulated whenever
-    the frame is carried.  With ``store`` the dict also holds every state
-    series (x, y, u0, u, alpha, beta), the momenta and the unit-speed
-    defect; without it y is not integrated and only the maximum defects and
-    the final state are kept.  A sample's frame is re-orthonormalized when
-    its own orthonormality defect exceeds ``_RENORM_TOL``, so every sample
-    gets the bits it would get alone; ``renorm_events`` counts the steps at
-    which at least one sample was renormalized.  Raises
+    monotone from t0 to t1 (possibly decreasing).  With ``with_frame`` it
+    holds the table ``curvatures`` (J, m, 2) of (k1, k2) per node and the
+    coefficients ``frame`` = (e, c, w) of the frame ``frame0`` (alpha, beta)
+    at t0 (default: :func:`complete_orthonormal_frame` of the velocity), see
+    the module docstring; ``final_state`` then also carries the frame at t1.
+    With ``store`` the dict also holds every state series (x, y, u0, u), the
+    momenta and the unit-speed defect; without it y is not integrated and
+    only the maximum defects and the final state are kept.  Raises
     :class:`IntegratorDrift` when a conservation defect exceeds ``drift_tol``.
     """
     if step <= 0.0:
@@ -194,24 +204,18 @@ def integrate_states(
     hf = direction * step / 2.0
     J = 2 * n_coarse + 1
 
-    alpha = beta = None
-    if with_frame:
-        if frame0 is not None:
-            alpha = np.array(frame0[0], dtype=float).reshape(m, n)
-            beta = np.array(frame0[1], dtype=float).reshape(m, n, n)
-        else:
-            vel = np.concatenate([u0s[:, None], u], axis=1)
-            frame = complete_orthonormal_frame(vel)
-            alpha = frame[:, :, 0].copy()
-            beta = frame[:, :, 1:].copy()
-
     out = {"times_fine": t0 + hf * np.arange(J), "m": m}
     if with_frame:
-        out["K"] = np.empty((J, m, n, n))
-    state = [x, y, u0s, u, alpha, beta]
+        if frame0 is None:
+            frame = complete_orthonormal_frame(np.concatenate([u0s[:, None], u], axis=1))
+            frame0 = frame[:, :, 0], frame[:, :, 1:]
+        alpha, beta = np.asarray(frame0[0], float), np.asarray(frame0[1], float)
+        out["frame"] = _frame_coefficients(u0s, u, alpha.reshape(m, n), beta.reshape(m, n, n))
+        out["curvatures"] = np.empty((J, m, 2))
+    state = [x, y, u0s, u]
     # The loop tabulates each node's state and log-derivatives; curvature
-    # matrices and conservation defects are then evaluated a block of nodes
-    # at a time.  A stored run is one block, so its table is the output.
+    # coefficients and conservation defects are then evaluated a block of
+    # nodes at a time.  A stored run is one block, so its table is the output.
     block = J if store else min(J, _BLOCK_NODES)
     table = {key: np.empty((block,) + part.shape) for key, part in zip(_STATE_KEYS, state)
              if part is not None}
@@ -229,20 +233,21 @@ def integrate_states(
     max_unit = np.zeros(m)
     max_mom = np.zeros(m)
     alive = np.ones((m,), dtype=bool)
-    renorm_events = 0
 
     def flush(j0, count):
-        """K and the defects of the ``count`` tabulated nodes from node j0 on."""
+        """Curvature coefficients and defects of the ``count`` tabulated nodes from node j0 on."""
         nonlocal max_unit, max_mom, alive
         tab = {key: value[:count] for key, value in table.items()}
         nodes = slice(j0, j0 + count)
         u0s, u, gp = tab["u0"], tab["u"], tab["gp"]
+        s2 = (u * u).sum(axis=-1)
+        speed2 = u0s * u0s + s2
         if with_frame:
             gp2 = gp * gp
-            out["K"][nodes] = curvature_matrix_frame(
-                tab["gpp"] + gp2, gp2, u0s, u, tab["alpha"], tab["beta"]
-            )
-        unit = np.abs(u0s * u0s + (u * u).sum(axis=-1) - 1.0)
+            h = tab["gpp"] + gp2
+            out["curvatures"][nodes, :, 0] = -(h * speed2 * speed2)
+            out["curvatures"][nodes, :, 1] = -(u0s * u0s * h + s2 * gp2)
+        unit = np.abs(speed2 - 1.0)
         p = _log_momenta(tab["g"], u)
         defect, dead = _momentum_defect(p, u, p_init, p_scale)
         alive_nodes = alive & np.logical_and.accumulate(~dead, axis=0)
@@ -281,19 +286,13 @@ def integrate_states(
         k1 = _pack(_geodesic_rhs(spec, *state, derivs=derivs))
         S = _rk4_step(rhs, S, hf, k1)
         state = _unpack(S, layout)
-        if with_frame and (j + 1) % 2 == 0:
-            x, y, u0s, u, alpha, beta = state
-            fire = _frame_defect(u0s, u, alpha, beta) > _RENORM_TOL
-            if fire.any():
-                # alpha and beta are views of S: the renormalized rows land in S
-                alpha[fire], beta[fire] = _renormalize_frame(u0s[fire], u[fire], alpha[fire], beta[fire])
-                renorm_events += 1
         derivs = record(j + 1, state)
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom
-    out["renorm_events"] = renorm_events
-    out["final_state"] = dict(zip(_STATE_KEYS, state))
+    final = out["final_state"] = dict(zip(_STATE_KEYS, state))
+    if with_frame:
+        final["alpha"], final["beta"] = slice_frame(out["frame"], final["u0"], final["u"])
     if drift_tol is not None:
         worst_unit = float(np.max(max_unit))
         worst_mom = float(np.max(max_mom))
@@ -321,7 +320,7 @@ def conservation_scan(spec: WarpSpec, x0, y0, u00, u0vec, *, t_end: float, step:
 
 
 # ---------------------------------------------------------------------------
-# matrix Jacobi marching
+# Jacobi marching
 # ---------------------------------------------------------------------------
 
 
@@ -350,74 +349,73 @@ def jacobi_ivp_march(K_fine: np.ndarray, step: float, Y0: np.ndarray, Yp0: np.nd
     return out[:, :, :n, :], out[:, :, n:, :]
 
 
+def _transfer_block(curvatures, node, direction, count, h):
+    """RK4 transfer matrices T (count, 2, 2, m, 2) of y'' + k y = 0 for steps of h from coarse ``node`` on.
+
+    (y, y') after step i is T[i] applied to (y, y') before it.
+    """
+    sub = curvatures[2 * node + direction * np.arange(2 * count + 1)]
+    ks = (sub[0:-1:2], sub[1::2], sub[2::2])
+
+    def rhs(stage, G):
+        return np.stack((G[:, 1], -(ks[stage][:, None] * G[:, 0])), axis=1)
+
+    eye = np.zeros((count, 2, 2) + sub.shape[1:])
+    eye[:, 0, 0] = eye[:, 1, 1] = 1.0
+    return _rk4_step(rhs, eye, h)
+
+
 def boundary_solve(
-    K_fine: np.ndarray,
+    curvatures: np.ndarray,
     step: float,
     anchor_c: int,
     zero_c: int,
     out_lo: int,
     out_hi: int,
+    *,
+    c: np.ndarray,
 ):
     """Two-point solution Y(zero) = I, Y(anchor) = 0 on coarse nodes [out_lo, out_hi].
 
-    The solution subspace is propagated from the vanishing end, where it is
-    the dominant direction of integration, with QR renormalization of each
-    sample's (2n x n) frame whenever its own entries exceed
-    ``_RENORM_THRESHOLD``, so a sample's result does not depend on the other
-    samples of the batch.  The per-node right factors are restored when the
-    output is normalized to Y = I at ``zero_c``, so the result is the exact
-    two-point solution without overflow or cancellation at any horizon.
+    ``curvatures`` (J, m, 2) holds (k1, k2) per fine node and ``c`` (m, n)
+    the frame coefficients.  The scalar problems y'' + k y = 0, y(anchor) = 0,
+    y(zero) = 1 are marched for k1 and k2 together from the vanishing end,
+    where they are the dominant solution.  A pair beyond ``_RENORM_THRESHOLD``
+    is divided by a power of two (exact) and the exponents are restored at
+    normalization, so nothing overflows or cancels at any horizon and every
+    decision is per sample.  Returns (Y, Yp), each (nodes, m, n, n).
     """
-    J, m, n, _ = K_fine.shape
     if not (out_lo <= zero_c <= out_hi):
         raise ValueError("normalization node must lie inside the output window")
     direction = -1 if anchor_c > zero_c else 1
     target = out_lo if direction < 0 else out_hi
     width = out_hi - out_lo + 1
 
-    F = np.zeros((m, 2 * n, n))
-    F[:, n:, :] = -np.eye(n)
-    frames = np.empty((width, m, 2 * n, n))
-    events = {}
-    h = direction * step
-    c = anchor_c
-    if out_lo <= c <= out_hi:
-        frames[c - out_lo] = F
-    while c != target:
-        c2 = c + direction
-        j0 = 2 * c
-        F = _jacobi_step((K_fine[j0], K_fine[j0 + direction], K_fine[j0 + 2 * direction]), F, h, n)
-        c = c2
-        crossed = np.abs(F).max(axis=(1, 2)) > _RENORM_THRESHOLD
-        if crossed.any():
-            F[crossed], r = np.linalg.qr(F[crossed])
-            events[c] = (crossed, r)
-        if out_lo <= c <= out_hi:
-            frames[c - out_lo] = F
+    # F[0] = y, F[1] = y', one column per coefficient k1, k2
+    F = np.zeros((2,) + curvatures.shape[1:])
+    F[1] = -1.0
+    scale = np.zeros(F.shape[1:], dtype=int)
+    pairs, scales = np.empty((width,) + F.shape), np.empty((width,) + scale.shape, dtype=int)
+    node = anchor_c
+    if out_lo <= node <= out_hi:
+        pairs[node - out_lo], scales[node - out_lo] = F, scale
+    steps = abs(target - anchor_c)
+    for first in range(0, steps, _BLOCK_NODES):
+        T = _transfer_block(curvatures, node, direction, min(_BLOCK_NODES, steps - first), direction * step)
+        for Ti in T:
+            F = Ti[:, 0] * F[0] + Ti[:, 1] * F[1]
+            node += direction
+            if np.abs(F).max() > _RENORM_THRESHOLD:
+                size = np.abs(F).max(axis=0)
+                shift = np.where(size > _RENORM_THRESHOLD, np.frexp(size)[1], 0)
+                F = np.ldexp(F, -shift)
+                scale = scale + shift
+            if out_lo <= node <= out_hi:
+                pairs[node - out_lo], scales[node - out_lo] = F, scale
 
-    # Right factors H_c relating each stored frame to the one at zero_c; the
-    # factor of a renormalization applies to the samples it renormalized.
-    def restore(cur, key, undo):
-        if key in events:
-            crossed, r = events[key]
-            if undo:
-                cur[crossed] = np.linalg.solve(r, cur[crossed])
-            else:
-                cur[crossed] = np.einsum("mij,mjk->mik", r, cur[crossed])
-        return cur
-
-    eye = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-    H = np.empty((width, m, n, n))
-    H[zero_c - out_lo] = eye
-    cur = eye.copy()
-    for node in range(zero_c + 1, out_hi + 1):
-        H[node - out_lo] = restore(cur, node - 1 if direction < 0 else node, direction < 0)
-    cur = eye.copy()
-    for node in range(zero_c - 1, out_lo - 1, -1):
-        H[node - out_lo] = restore(cur, node if direction < 0 else node + 1, direction > 0)
-
-    full = np.einsum("wmiq,wmqr->wmir", frames, H)
-    tz = full[zero_c - out_lo][:, :n, :]
-    tz_inv = np.linalg.inv(tz)
-    full = np.einsum("wmiq,mqr->wmir", full, tz_inv)
-    return full[:, :, :n, :], full[:, :, n:, :]
+    zero = zero_c - out_lo
+    y_zero = pairs[zero, 0]
+    if (y_zero == 0.0).any():
+        raise np.linalg.LinAlgError("two-point solution vanishes at the normalization node")
+    ys = np.ldexp(pairs / y_zero, (scales - scales[zero])[:, None])
+    return split_matrix(ys[:, 0], c), split_matrix(ys[:, 1], c)

@@ -7,7 +7,8 @@ The geodesic system in coordinates (x, y_1..y_n) is
 
 with the unit-speed first integral x'^2 + f^2 sum y_i'^2 = 1 and the
 conserved fiber momenta p_i = f^2 y_i'.  Integration happens in the
-orthonormal-basis variables (u0, u) = (x', f y'), see ``engine``.
+orthonormal-basis variables (u0, u) = (x', f y'); the parallel frame and the
+curvature matrices are built in closed form from them, see ``engine``.
 """
 from __future__ import annotations
 
@@ -85,7 +86,9 @@ class GeodesicPath:
 
     Data lives on the fine grid (half the requested step); ``times`` exposes
     the coarse, user-facing grid.  The parallel frame rows are
-    V_i = (alpha_i, beta_i) in the orthonormal basis.
+    V_i = (alpha_i, beta_i) in the orthonormal basis.  ``curvatures`` holds
+    (k1, k2) per node and ``c`` the frame coefficients c_i = <V_i, E1>, so
+    K = k2 I + (k1 - k2) c c^T (see ``engine``).
     """
 
     spec: WarpSpec
@@ -99,6 +102,8 @@ class GeodesicPath:
     alpha: np.ndarray
     beta: np.ndarray
     K: np.ndarray
+    curvatures: np.ndarray
+    c: np.ndarray
     momenta: np.ndarray
     unit_defect: np.ndarray
     max_unit_defect: float
@@ -148,15 +153,19 @@ class GeodesicPath:
         return np.max(np.abs(self.momenta - p0[None, :]), axis=-1) / scale
 
 
-# the fine-grid series of a GeodesicPath, as stored by engine.integrate_states
-_SERIES = ("times_fine", "x", "y", "u0", "u", "alpha", "beta", "K", "momenta", "unit_defect")
+# the fine-grid series of a GeodesicPath
+_SERIES = ("times_fine", "x", "y", "u0", "u", "alpha", "beta", "K", "curvatures", "momenta", "unit_defect")
 
 
-def _squeeze_run(run: dict, reverse: bool) -> dict:
+def _squeeze_run(run: dict, reverse: bool) -> tuple:
+    """The series of a stored single-sample run in time order, with its frame and K assembled, and c."""
+    c = run["frame"][1]
+    alpha, beta = engine.slice_frame(run["frame"], run["u0"], run["u"])
+    run = {**run, "alpha": alpha, "beta": beta, "K": engine.split_matrix(run["curvatures"], c)}
     sl = slice(None, None, -1) if reverse else slice(None)
     view = {key: run[key][sl, 0].copy() for key in _SERIES[1:]}
     view["times_fine"] = run["times_fine"][sl].copy()
-    return view
+    return view, c[0]
 
 
 def integrate_geodesic(
@@ -169,9 +178,9 @@ def integrate_geodesic(
 ) -> GeodesicPath:
     """Integrate the geodesic through theta0 over [0, t_end] (t_end may be negative).
 
-    Classic fixed-step RK4 on the half-step grid; node invariants (unit speed,
-    momentum conservation, frame orthonormality) are tracked and a drift
-    beyond ``drift_tol`` raises :class:`IntegratorDrift`.
+    Classic fixed-step RK4 on the half-step grid; the node invariants (unit
+    speed, momentum conservation) are tracked and a drift beyond
+    ``drift_tol`` raises :class:`IntegratorDrift`.
     """
     u0, u = theta0.frame_velocity(spec)
     t_end = np.sign(t_end) * round(abs(t_end) / step) * step  # snap to the grid
@@ -179,16 +188,16 @@ def integrate_geodesic(
         spec, [theta0.x], [theta0.y], [u0], [u], t0=0.0, t1=float(t_end), step=step, drift_tol=drift_tol
     )
     reverse = t_end < 0
-    view = _squeeze_run(run, reverse)
+    view, c = _squeeze_run(run, reverse)
     return GeodesicPath(
         spec=spec,
         theta0=theta0,
         step=step,
         **view,
+        c=c,
         max_unit_defect=float(run["max_unit_defect"][0]),
         max_momentum_defect=float(run["max_momentum_defect"][0]),
         t0_index=len(view["times_fine"]) - 1 if reverse else 0,
-        meta={"renorm_events": run["renorm_events"]},
     )
 
 
@@ -219,7 +228,7 @@ def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> Geodesic
         defect, dead = engine._momentum_defect(run["momenta"][:, 0], run["u"][:, 0], p0, p_scale)
         alive = np.logical_and.accumulate(~dead)
         max_mom = max(max_mom, float(np.max(np.where(alive, defect, 0.0))))
-        view = _squeeze_run(run, reverse=j == 0)
+        view, _ = _squeeze_run(run, reverse=j == 0)
         if j == 0:
             pieces.insert(0, {key: v[:-1] for key, v in view.items()})
             t0_index += len(view["times_fine"]) - 1
@@ -230,6 +239,7 @@ def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> Geodesic
         theta0=path.theta0,
         step=step,
         **{key: np.concatenate([piece[key] for piece in pieces], axis=0) for key in _SERIES},
+        c=path.c,
         max_unit_defect=max_unit,
         max_momentum_defect=max_mom,
         t0_index=t0_index,

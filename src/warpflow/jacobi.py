@@ -5,18 +5,18 @@ parallel perpendicular frame, is the matrix ODE
 
     Y''(t) + K(t) Y(t) = 0,
 
-with K(t) the symmetric curvature matrix carried by controllers of
+with K(t) the symmetric curvature matrix carried by
 :class:`~warpflow.geodesics.GeodesicPath`.  Two-point solutions Y(0) = I,
 Y(r) = 0 exist and are unique here because the scenario metrics have
 non-positive curvature (no conjugate points); letting r -> +inf / -inf gives
 the stable / unstable solutions whose columns span the candidate contracting
 and expanding subspaces of the flow derivative.
 
-Two-point solves are evaluated by propagating the solution frame from the
-vanishing endpoint (where it is the dominant solution of the sweep) with QR
-renormalization, then restoring the accumulated right factors; this is exact
-linear algebra and stays well-conditioned at horizons where naive shooting
-from t = 0 loses all significant digits to cancellation.
+Here K = k2 I + (k1 - k2) c c^T with a constant unit vector c (see
+``engine``), so a two-point solution is Y = y1 c c^T + y2 (I - c c^T) with
+scalar two-point solutions y1, y2, swept from the vanishing endpoint and
+rescaled by powers of two: exact at horizons where shooting from t = 0 loses
+every digit to cancellation.  Initial-value solves march the matrix system.
 """
 from __future__ import annotations
 
@@ -106,16 +106,12 @@ class MatrixJacobiSolution:
         return np.sqrt(np.einsum("ci,ci->c", J, J))
 
 
-def _as_batch(K_fine: np.ndarray) -> np.ndarray:
-    return K_fine[:, None, :, :]
-
-
 def solve_jacobi_ivp(path: GeodesicPath, Y0, Yp0) -> MatrixJacobiSolution:
     """RK4 solve of Y'' + K Y = 0 along the path with given initial data."""
     n = path.n
     Y0 = np.asarray(Y0, dtype=float).reshape(n, n)
     Yp0 = np.asarray(Yp0, dtype=float).reshape(n, n)
-    Y, Yp = engine.jacobi_ivp_march(_as_batch(path.K), path.step, Y0[None], Yp0[None])
+    Y, Yp = engine.jacobi_ivp_march(path.K[:, None], path.step, Y0[None], Yp0[None])
     return MatrixJacobiSolution(
         path=path, times=path.times.copy(), Y=Y[:, 0], Yp=Yp[:, 0], kind="ivp"
     )
@@ -139,9 +135,9 @@ def _boundary_on_window(path: GeodesicPath, r: float, out_lo_t: float, out_hi_t:
         raise DomainError("output window must contain t = 0")
     try:
         Y, Yp = engine.boundary_solve(
-            _as_batch(wpath.K), step, anchor_c, zero_c, out_lo_c, out_hi_c
+            wpath.curvatures[:, None], step, anchor_c, zero_c, out_lo_c, out_hi_c, c=wpath.c[None]
         )
-    except np.linalg.LinAlgError as exc:  # singular normalization block
+    except np.linalg.LinAlgError as exc:  # the solution vanishes at t = 0
         raise ConjugatePointDetected(
             f"two-point solve with endpoint r={r_snap} is singular"
         ) from exc
@@ -165,7 +161,7 @@ def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> 
     if times[0] - 1e-12 <= r_snap <= times[-1] + 1e-12:
         sol.meta["endpoint_norm"] = float(np.max(np.abs(sol.Y[sol.index_of(r_snap)])))
     else:
-        # the sweep anchors the solution frame at Y(r) = 0, exact by construction
+        # the sweep anchors the solution at Y(r) = 0, exact by construction
         sol.meta["endpoint_norm"] = 0.0
     return sol
 

@@ -1,0 +1,62 @@
+"""Reference parallel transport: the frame ODE integrated by RK4, without renormalization.
+
+In the orthonormal basis (d_x, f^{-1} d_{y_i}) a perpendicular frame
+V_i = (alpha_i, beta_i) is parallel along the geodesic with velocity (u0, u)
+when
+
+    alpha_i' = g' <beta_i, u>,    beta_i' = -g' alpha_i u .
+
+This module integrates that system together with the geodesic state on the
+half-step grid of a :class:`~warpflow.geodesics.GeodesicPath` and evaluates
+the curvature matrices of the transported frame with
+``geometry.curvature_matrix_frame``.  It shares no code with the closed-form
+frame of ``engine``, so the two can be compared node by node.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from warpflow.geometry import curvature_matrix_frame
+
+
+def _rhs(spec, state):
+    x, u0, u, alpha, beta = state
+    _, gp, _ = spec.log_derivatives(np.array([x]))
+    gp = float(gp[0])
+    s2 = float(u @ u)
+    return (u0, gp * s2, -gp * u0 * u, gp * (beta @ u), -gp * np.outer(alpha, u))
+
+
+def _axpy(state, h, k):
+    return tuple(part + h * dpart for part, dpart in zip(state, k))
+
+
+def transported_frame(path):
+    """Frame (alpha, beta) and curvature matrices K of the transported frame on the path's fine grid.
+
+    Integrates forward from the path's first node, starting from its stored
+    state and frame there.
+    """
+    spec = path.spec
+    h = path.step / 2.0
+    state = (float(path.x[0]), float(path.u0[0]), path.u[0].copy(), path.alpha[0].copy(), path.beta[0].copy())
+    nodes = len(path.times_fine)
+    xs, u0s = np.empty(nodes), np.empty(nodes)
+    us = np.empty((nodes, spec.n))
+    alphas = np.empty((nodes, spec.n))
+    betas = np.empty((nodes, spec.n, spec.n))
+    for j in range(nodes):
+        xs[j], u0s[j], us[j], alphas[j], betas[j] = state
+        if j == nodes - 1:
+            break
+        k1 = _rhs(spec, state)
+        k2 = _rhs(spec, _axpy(state, h / 2.0, k1))
+        k3 = _rhs(spec, _axpy(state, h / 2.0, k2))
+        k4 = _rhs(spec, _axpy(state, h, k3))
+        state = tuple(
+            part + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for part, a, b, c, d in zip(state, k1, k2, k3, k4)
+        )
+    _, gp, gpp = spec.log_derivatives(xs)
+    K = curvature_matrix_frame(gpp + gp * gp, gp * gp, u0s, us, alphas, betas)
+    return alphas, betas, K

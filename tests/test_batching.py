@@ -15,9 +15,8 @@ def _start_arrays(spec, thetas):
             np.stack([v[1] for v in vel]))
 
 
-def test_frame_renormalization_is_per_sample(anosov_spec):
-    # seed 3, samples 2-7: alone, three of these frames stay orthonormal to
-    # 1e-9 over [0, 4] and three are renormalized
+def test_frame_and_curvature_tables_are_per_sample(anosov_spec):
+    # seed 3, samples 2-7: poles and oblique data of differing slices
     thetas = sample_thetas(anosov_spec, 14, seed=3)[0][2:8]
 
     def run(x0, u00, u):
@@ -26,11 +25,10 @@ def test_frame_renormalization_is_per_sample(anosov_spec):
     x0, u00, u = _start_arrays(anosov_spec, thetas)
     batch = run(x0, u00, u)
     solo = [run(x0[s:s + 1], u00[s:s + 1], u[s:s + 1]) for s in range(len(thetas))]
-    events = [r["renorm_events"] for r in solo]
-    assert min(events) == 0 and max(events) > 0
-    assert batch["renorm_events"] > 0
     for s, alone in enumerate(solo):
-        assert np.array_equal(batch["K"][:, s], alone["K"][:, 0])
+        assert np.array_equal(batch["curvatures"][:, s], alone["curvatures"][:, 0])
+        for part, part_alone in zip(batch["frame"], alone["frame"]):
+            assert np.array_equal(part[s], part_alone[0])
         assert np.array_equal(batch["max_unit_defect"][s], alone["max_unit_defect"][0])
         for key, value in batch["final_state"].items():
             if value is not None:
@@ -44,9 +42,11 @@ def test_sweep_renormalization_is_per_sample():
     nodes = 2 * int(round(r / step)) + 1
     t = 0.5 * step * np.arange(nodes)
     ks = (1.0, 1e-4, 0.01)
-    K = np.empty((nodes, len(ks), 2, 2))
+    table = np.empty((nodes, len(ks), 2))
     for s, k in enumerate(ks):
-        K[:, s] = -k * np.array([[1.0, 0.1], [0.1, 0.5]])[None] * (1.0 + 0.3 * np.sin(t))[:, None, None]
+        table[:, s] = -k * np.array([1.0, 0.5])[None] * (1.0 + 0.3 * np.sin(t))[:, None]
+    c = np.array([[0.6, 0.8], [1.0, 0.0], [-0.28, 0.96]])
+    K = engine.split_matrix(table, c)
     anchor = (nodes - 1) // 2
     span = 60
 
@@ -56,9 +56,9 @@ def test_sweep_renormalization_is_per_sample():
     assert peak[0] > engine._RENORM_THRESHOLD
     assert np.all(peak[1:] < engine._RENORM_THRESHOLD)
 
-    Y, Yp = engine.boundary_solve(K, step, anchor, 0, 0, span)
+    Y, Yp = engine.boundary_solve(table, step, anchor, 0, 0, span, c=c)
     for s in range(len(ks)):
-        Ys, Yps = engine.boundary_solve(K[:, s:s + 1], step, anchor, 0, 0, span)
+        Ys, Yps = engine.boundary_solve(table[:, s:s + 1], step, anchor, 0, 0, span, c=c[s:s + 1])
         assert np.array_equal(Y[:, s], Ys[:, 0])
         assert np.array_equal(Yp[:, s], Yps[:, 0])
 
