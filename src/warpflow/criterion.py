@@ -23,7 +23,7 @@ import numpy as np
 from . import engine
 from .errors import DomainError, VanishingJacobiField
 from .geodesics import GeodesicPath, UnitTangent, flip, unit_tangent_from_direction
-from .jacobi import MatrixJacobiSolution, _flow_norms, _ladder, sasaki_orthonormal_directions
+from .jacobi import MatrixJacobiSolution, _flow_norms, _ladder
 from .scenarios import ScenarioBounds, case_bound
 from .warp import WarpSpec
 
@@ -99,28 +99,30 @@ class AnosovReport:
 # ---------------------------------------------------------------------------
 
 
-def _curvature_averages(Y: np.ndarray, K_coarse: np.ndarray, W: np.ndarray, times: np.ndarray) -> tuple:
+def _curvature_averages(y: np.ndarray, k: np.ndarray, weights: np.ndarray, times: np.ndarray) -> tuple:
     """Running averages of the plane curvature K(gamma', J) along J = Y w, per sample and direction.
 
-    Y and K_coarse have shape (nodes, m, n, n) on ``times`` and the columns
-    of W (m, n, d) are the directions w.  Normalizing J by its max component
-    keeps the quadratic forms off the underflow floor while exponential decay
-    runs through hundreds of orders of magnitude.  Returns the trapezoidal
+    The modes y and their coefficients k have shape (nodes, m, M) on
+    ``times``; ``weights`` (m, d, M) holds each direction's mode weights
+    (p, q) = (c.w, |w - p c|).  J = Y w = p y1 c + y2 (w - p c), so
+    |J| = hypot(p y1, q y2) and the plane curvature is
+    (k1 (p y1)^2 + k2 (q y2)^2) / |J|^2.  Dividing both terms by the larger
+    keeps the squares off the underflow floor while exponential decay runs
+    through hundreds of orders of magnitude.  Returns the trapezoidal
     averages (nodes - 1, m, d) at times[1:], the norms |J| (nodes, m, d) and
     a per-sample flag for fields that vanish on the grid.
     """
-    J = np.einsum("wmij,mjd->wmid", Y, W)
-    scale = np.max(np.abs(J), axis=2)
-    degenerate = np.any(scale == 0.0, axis=(0, 2))
+    J = y[:, :, None, :] * weights
+    scale = np.abs(J).max(axis=-1)
+    degenerate = (scale == 0.0).any(axis=(0, 2))
     safe = np.where(scale == 0.0, 1.0, scale)
-    Jh = J / safe[:, :, None, :]
-    den = np.einsum("wmid,wmid->wmd", Jh, Jh)
-    kappa = np.einsum("wmid,wmik,wmkd->wmd", Jh, K_coarse, Jh) / den
-    dt = np.diff(times)
-    cum = np.concatenate(
-        [np.zeros((1,) + kappa.shape[1:]), np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * dt[:, None, None], axis=0)]
-    )
-    averages = cum[1:] / (times[1:] - times[0])[:, None, None]
+    J /= safe[..., None]
+    J *= J
+    den = J.sum(axis=-1)
+    J *= k[:, :, None, :]
+    kappa = J.sum(axis=-1) / den
+    cum = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(times)[:, None, None], axis=0)
+    averages = cum / (times[1:] - times[0])[:, None, None]
     return averages, safe * np.sqrt(den), degenerate
 
 
@@ -132,14 +134,20 @@ def averaged_curvature(
 ) -> AveragedCurvatureSeries:
     """Running average of the plane curvature K(gamma'(s), J(s)) with J = Y w.
 
-    Trapezoidal cumulative quadrature on the solution grid, optionally
-    resampled onto ``t_grid``.
+    ``green`` is a two-point or limit solution along ``path``.  Trapezoidal
+    cumulative quadrature on the solution grid, optionally resampled onto
+    ``t_grid``.
     """
+    if green.modes is None:
+        raise DomainError("averaged curvature needs a two-point or limit solution")
     idx0 = green.index_of(0.0)
     times = green.times[idx0:]
-    K_coarse = np.stack([path.K[path.fine_index(t)] for t in times])
-    W = np.asarray(w, float)[None, :, None]
-    averages, _, degenerate = _curvature_averages(green.Y[idx0:, None], K_coarse[:, None], W, times)
+    y = green.modes[0][idx0:]
+    k = path.curvatures[[path.fine_index(t) for t in times], : y.shape[-1]]
+    w, c = np.asarray(w, float), green.path.c
+    p = c @ w
+    weights = np.array([p, np.linalg.norm(w - p * c)])[: y.shape[-1]]
+    averages, _, degenerate = _curvature_averages(y[:, None], k[:, None], weights[None, None], times)
     if degenerate[0]:
         raise VanishingJacobiField("Jacobi field vanished on the grid")
     ts, vals = times[1:], averages[:, 0, 0]
@@ -326,6 +334,22 @@ def _datum_key(theta: UnitTangent) -> tuple:
     return (float(theta.x), *theta.y.tolist(), float(theta.dx), *theta.dy.tolist())
 
 
+def _sasaki_mode_weights(c: np.ndarray, yp0: np.ndarray) -> np.ndarray:
+    """Mode weights (p, q) (m, n, M) of the Sasaki-orthonormal directions w_d of limit solutions.
+
+    The w_d are the columns of (I + U^T U)^(-1/2) = a1 c c^T + a2 (I - c c^T),
+    a_k = (1 + y_k'(0)^2)^(-1/2), so p_d = a1 c_d and q_d = a2 |e_d - c_d c|;
+    |e_d - c_d c|^2 is the sum of the other c_j^2, summed without cancellation.
+    """
+    a = 1.0 / np.sqrt(1.0 + yp0 * yp0)
+    sq = c * c
+    zero = np.zeros_like(sq[:, :1])
+    before = np.cumsum(np.concatenate([zero, sq[:, :-1]], axis=1), axis=1)
+    after = np.cumsum(np.concatenate([zero, sq[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    weights = np.stack([a[:, :1] * c, a[:, -1:] * np.sqrt(before + after)], axis=-1)
+    return weights[..., : yp0.shape[-1]]
+
+
 def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_max_doublings,
                     drift_tol, series_stride):
     """Forward pass + stable ladder + reductions for one bundle of start data."""
@@ -342,8 +366,8 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     run = engine.integrate_states(
         spec, x0, None, u00, u0v, t0=0.0, t1=round(green_r0 / step) * step, **opts
     )
-    # per node (k1, k2); K = k2 I + (k1 - k2) c c^T is assembled only on the output window
-    table = run["curvatures"]
+    # per node (k1, k2); the Jacobi data stay the scalar modes of K = k2 I + (k1 - k2) c c^T
+    table = run["curvatures"][..., : min(spec.n, 2)]
     c = run["frame"][1]
     max_unit = run["max_unit_defect"]
     tail = run["final_state"]
@@ -357,7 +381,7 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
             t0=0.0, t1=round((to_r - have) / step) * step,
             frame0=(tail["alpha"], tail["beta"]), **opts,
         )
-        table = np.concatenate([table, seg["curvatures"][1:]], axis=0)
+        table = np.concatenate([table, seg["curvatures"][1:, :, : table.shape[-1]]], axis=0)
         # a frozen sample's defect covers only the rungs it used
         max_unit[live] = np.maximum(max_unit[live], seg["max_unit_defect"][live])
         tail = seg["final_state"]
@@ -368,22 +392,18 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
             extend(r, live)
         tab = table[: 2 * need_c + 1]
         # copy the table only when some samples are frozen
-        return engine.boundary_solve(
-            tab if len(live) == m else tab[:, live], step, need_c, 0, 0, n_coarse, c=c[live]
-        )
+        return engine.boundary_solve(tab if len(live) == m else tab[:, live], step, need_c, 0, 0, n_coarse)
 
-    (Y, Yp), _, gaps_hist = _ladder(solve, m, green_r0, step, green_max_doublings, green_tol)
+    (y, yp), _, gaps_hist = _ladder(solve, m, green_r0, step, green_max_doublings, green_tol)
 
     final_gaps = gaps_hist[-1] if gaps_hist else np.full(m, np.inf)
     green_ok = final_gaps < green_tol
     drifted = max_unit > drift_tol
 
     times = step * np.arange(w)
-    K_coarse = engine.split_matrix(table[: 2 * n_coarse + 1 : 2], c)
-    Us0 = Yp[0]
-    dirs = np.stack([sasaki_orthonormal_directions(Us0[s]) for s in range(m)])
-    averages, Jnorm, degenerate = _curvature_averages(Y, K_coarse, dirs, times)
-    norms = _flow_norms(Y, Yp, 0)
+    weights = _sasaki_mode_weights(c, yp[0])
+    averages, Jnorm, degenerate = _curvature_averages(y, table[: 2 * n_coarse + 1 : 2], weights, times)
+    norms = _flow_norms(y, yp, 0)
 
     sidx = np.unique(np.concatenate([np.arange(0, w, series_stride), [w - 1]]))
     sidx_pos = sidx[sidx > 0]

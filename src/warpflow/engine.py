@@ -25,8 +25,11 @@ constant c and w, and its curvature matrix is K = k2 I + (k1 - k2) c c^T with
 
 the slice curvature and that of the planes (v, (0, w)) (|v| = 1 up to the
 unit-speed defect; |v|^4 = |v|^2 |E1|^2).  The kernel tabulates (k1, k2) per
-node, and Y'' + K Y = 0 splits into y'' + k y = 0 for k1 and k2 with
-Y = y1 c c^T + y2 (I - c c^T).
+node, and Y'' + K Y = 0 splits into the scalar modes y'' + k y = 0 for k1 and
+k2 with Y = y1 c c^T + y2 (I - c c^T).  Jacobi data stay scalar here: one
+march (:func:`scalar_march`) serves two-point and initial-value solves, and
+n x n matrices are assembled only by callers that return them
+(:func:`split_matrix`).  At n = 1, I - c c^T = 0 and only mode 1 exists.
 """
 from __future__ import annotations
 
@@ -84,11 +87,12 @@ def slice_frame(frame, u0, u):
 
 
 def split_matrix(pairs, c):
-    """a1 c c^T + a2 (I - c c^T) from pairs (a1, a2) (..., m, 2) and c (m, n).
+    """a1 c c^T + a2 (I - c c^T) from pairs (a1, a2) (..., m, M) and c (m, n).
 
-    Curvature matrices from (k1, k2), two-point solutions from (y1, y2).
+    Curvature matrices from (k1, k2), Jacobi data from their modes.  With
+    one mode (M = 1, n = 1) the result is a1.
     """
-    a1, a2 = pairs[..., 0], pairs[..., 1]
+    a1, a2 = pairs[..., 0], pairs[..., -1]
     cc = c[:, :, None] * c[:, None, :]
     return a2[..., None, None] * np.eye(c.shape[-1]) + (a1 - a2)[..., None, None] * cc
 
@@ -324,33 +328,8 @@ def conservation_scan(spec: WarpSpec, x0, y0, u00, u0vec, *, t_end: float, step:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_step(Ks, F, h, n):
-    """One RK4 step of (Y, Y')' = (Y', -K Y); Ks holds K at the start, midpoint and end."""
-
-    def rhs(stage, G):
-        return np.concatenate([G[:, n:], -np.einsum("mij,mjq->miq", Ks[stage], G[:, :n])], axis=1)
-
-    return _rk4_step(rhs, F, h)
-
-
-def jacobi_ivp_march(K_fine: np.ndarray, step: float, Y0: np.ndarray, Yp0: np.ndarray):
-    """March the first-order system (Y, Y') along the whole fine grid.
-
-    Returns (Y, Yp) with shape (C+1, m, n, q) on the coarse grid.
-    """
-    J, m, n, _ = K_fine.shape
-    C = (J - 1) // 2
-    F = np.concatenate([np.asarray(Y0, float), np.asarray(Yp0, float)], axis=1)
-    out = np.empty((C + 1, m, 2 * n, F.shape[-1]))
-    out[0] = F
-    for c in range(C):
-        F = _jacobi_step((K_fine[2 * c], K_fine[2 * c + 1], K_fine[2 * c + 2]), F, step, n)
-        out[c + 1] = F
-    return out[:, :, :n, :], out[:, :, n:, :]
-
-
 def _transfer_block(curvatures, node, direction, count, h):
-    """RK4 transfer matrices T (count, 2, 2, m, 2) of y'' + k y = 0 for steps of h from coarse ``node`` on.
+    """RK4 transfer matrices T (count, 2, 2, m, M) of y'' + k y = 0 for steps of h from coarse ``node`` on.
 
     (y, y') after step i is T[i] applied to (y, y') before it.
     """
@@ -365,57 +344,57 @@ def _transfer_block(curvatures, node, direction, count, h):
     return _rk4_step(rhs, eye, h)
 
 
-def boundary_solve(
-    curvatures: np.ndarray,
-    step: float,
-    anchor_c: int,
-    zero_c: int,
-    out_lo: int,
-    out_hi: int,
-    *,
-    c: np.ndarray,
-):
-    """Two-point solution Y(zero) = I, Y(anchor) = 0 on coarse nodes [out_lo, out_hi].
+def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: np.ndarray, lo: int, hi: int):
+    """March scalar pairs (y, y') of y'' + k y = 0 from coarse node ``start`` to ``stop``.
 
-    ``curvatures`` (J, m, 2) holds (k1, k2) per fine node and ``c`` (m, n)
-    the frame coefficients.  The scalar problems y'' + k y = 0, y(anchor) = 0,
-    y(zero) = 1 are marched for k1 and k2 together from the vanishing end,
-    where they are the dominant solution.  A pair beyond ``_RENORM_THRESHOLD``
-    is divided by a power of two (exact) and the exponents are restored at
-    normalization, so nothing overflows or cancels at any horizon and every
-    decision is per sample.  Returns (Y, Yp), each (nodes, m, n, n).
+    ``curvatures`` (J, m, M) holds k per fine node, sample and mode, and F
+    (2, q, m, M) the pairs at ``start`` of q solutions.  A solution whose
+    pair exceeds ``_RENORM_THRESHOLD`` is divided by a power of two (exact),
+    so nothing overflows at any horizon and every decision is per sample and
+    mode.  Returns the scaled pairs (nodes, 2, q, m, M) and the base-2
+    exponents (nodes, q, m, M) taken out of them, at the coarse nodes of
+    [lo, hi] that the march passes.
     """
-    if not (out_lo <= zero_c <= out_hi):
-        raise ValueError("normalization node must lie inside the output window")
-    direction = -1 if anchor_c > zero_c else 1
-    target = out_lo if direction < 0 else out_hi
-    width = out_hi - out_lo + 1
-
-    # F[0] = y, F[1] = y', one column per coefficient k1, k2
-    F = np.zeros((2,) + curvatures.shape[1:])
-    F[1] = -1.0
+    direction = -1 if stop < start else 1
     scale = np.zeros(F.shape[1:], dtype=int)
-    pairs, scales = np.empty((width,) + F.shape), np.empty((width,) + scale.shape, dtype=int)
-    node = anchor_c
-    if out_lo <= node <= out_hi:
-        pairs[node - out_lo], scales[node - out_lo] = F, scale
-    steps = abs(target - anchor_c)
+    pairs, scales = np.empty((hi - lo + 1,) + F.shape), np.empty((hi - lo + 1,) + scale.shape, dtype=int)
+    node = start
+    if lo <= node <= hi:
+        pairs[node - lo], scales[node - lo] = F, scale
+    steps = abs(stop - start)
     for first in range(0, steps, _BLOCK_NODES):
         T = _transfer_block(curvatures, node, direction, min(_BLOCK_NODES, steps - first), direction * step)
         for Ti in T:
-            F = Ti[:, 0] * F[0] + Ti[:, 1] * F[1]
+            F = Ti[:, 0, None] * F[0] + Ti[:, 1, None] * F[1]
             node += direction
             if np.abs(F).max() > _RENORM_THRESHOLD:
                 size = np.abs(F).max(axis=0)
                 shift = np.where(size > _RENORM_THRESHOLD, np.frexp(size)[1], 0)
                 F = np.ldexp(F, -shift)
                 scale = scale + shift
-            if out_lo <= node <= out_hi:
-                pairs[node - out_lo], scales[node - out_lo] = F, scale
+            if lo <= node <= hi:
+                pairs[node - lo], scales[node - lo] = F, scale
+    return pairs, scales
 
+
+def boundary_solve(curvatures: np.ndarray, step: float, anchor_c: int, zero_c: int, out_lo: int, out_hi: int):
+    """Scalar two-point solutions y(zero) = 1, y(anchor) = 0 on coarse nodes [out_lo, out_hi].
+
+    ``curvatures`` (J, m, M) holds the coefficient k of each mode per fine
+    node.  The modes are marched together from the vanishing end, where they
+    are the dominant solution (:func:`scalar_march`), and the exponents are
+    restored at normalization.  Returns (y, y'), each (nodes, m, M).
+    """
+    if not (out_lo <= zero_c <= out_hi):
+        raise ValueError("normalization node must lie inside the output window")
+    target = out_lo if anchor_c > zero_c else out_hi
+    F = np.zeros((2, 1) + curvatures.shape[1:])
+    F[1] = -1.0
+    pairs, scales = scalar_march(curvatures, step, anchor_c, target, F, out_lo, out_hi)
+    pairs, scales = pairs[:, :, 0], scales[:, 0]
     zero = zero_c - out_lo
     y_zero = pairs[zero, 0]
     if (y_zero == 0.0).any():
         raise np.linalg.LinAlgError("two-point solution vanishes at the normalization node")
     ys = np.ldexp(pairs / y_zero, (scales - scales[zero])[:, None])
-    return split_matrix(ys[:, 0], c), split_matrix(ys[:, 1], c)
+    return ys[:, 0], ys[:, 1]

@@ -14,9 +14,12 @@ and expanding subspaces of the flow derivative.
 
 Here K = k2 I + (k1 - k2) c c^T with a constant unit vector c (see
 ``engine``), so a two-point solution is Y = y1 c c^T + y2 (I - c c^T) with
-scalar two-point solutions y1, y2, swept from the vanishing endpoint and
-rescaled by powers of two: exact at horizons where shooting from t = 0 loses
-every digit to cancellation.  Initial-value solves march the matrix system.
+scalar two-point solutions y1, y2 (the modes), swept from the vanishing
+endpoint: exact at horizons where shooting from t = 0 loses every digit to
+cancellation.  Such solutions carry their modes, on which the r-ladder and
+the flow-derivative norms work.  Initial-value solves march the scalar
+fundamental pairs (A_k, B_k) and assemble Y = sum_k P_k (A_k Y(0) + B_k Y'(0))
+with P_1 = c c^T, P_2 = I - c c^T; they carry no modes.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ class SasakiVector:
 
 @dataclass
 class MatrixJacobiSolution:
-    """(Y, Y') pairs on the coarse grid of a path."""
+    """(Y, Y') on the coarse grid of a path; two-point and limit solutions also carry their modes (y, y')."""
 
     path: GeodesicPath
     times: np.ndarray
@@ -60,6 +63,7 @@ class MatrixJacobiSolution:
     kind: str
     r: Optional[float] = None
     meta: dict = field(default_factory=dict)
+    modes: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -106,21 +110,36 @@ class MatrixJacobiSolution:
         return np.sqrt(np.einsum("ci,ci->c", J, J))
 
 
+def _modal_solution(path, times, y, yp, kind, **extra) -> MatrixJacobiSolution:
+    """The solution with modes (y, y') (nodes, M) along ``path``, its matrices assembled with ``path.c``."""
+    Y, Yp = (engine.split_matrix(a, path.c[None]) for a in (y, yp))
+    return MatrixJacobiSolution(path=path, times=times, Y=Y, Yp=Yp, kind=kind, modes=(y, yp), **extra)
+
+
 def solve_jacobi_ivp(path: GeodesicPath, Y0, Yp0) -> MatrixJacobiSolution:
-    """RK4 solve of Y'' + K Y = 0 along the path with given initial data."""
+    """RK4 solve of Y'' + K Y = 0 along the path with given initial data, by fundamental pairs."""
     n = path.n
+    M = min(n, 2)  # at n = 1, I - c c^T = 0
     Y0 = np.asarray(Y0, dtype=float).reshape(n, n)
     Yp0 = np.asarray(Yp0, dtype=float).reshape(n, n)
-    Y, Yp = engine.jacobi_ivp_march(path.K[:, None], path.step, Y0[None], Yp0[None])
+    last = len(path.times) - 1
+    F = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 1, M))  # A_k(0) = B_k'(0) = 1
+    pairs, scales = engine.scalar_march(path.curvatures[:, None, :M], path.step, 0, last, F, 0, last)
+    # fund[t, i, j, k]: value (i = 0) or derivative (i = 1) of A_k (j = 0) or B_k (j = 1)
+    fund = np.ldexp(pairs[:, :, :, 0], scales[:, None, :, 0])
+    cc = np.outer(path.c, path.c)
+    P = np.stack([cc, np.eye(n) - cc])[:M]
+    init = np.stack([P @ Y0, P @ Yp0])
+    out = np.einsum("tijk,jkab->tiab", fund, init)
     return MatrixJacobiSolution(
-        path=path, times=path.times.copy(), Y=Y[:, 0], Yp=Yp[:, 0], kind="ivp"
+        path=path, times=path.times.copy(), Y=out[:, 0], Yp=out[:, 1], kind="ivp"
     )
 
 
 def _boundary_on_window(path: GeodesicPath, r: float, out_lo_t: float, out_hi_t: float):
-    """Two-point solution with Y(0)=I, Y(r)=0 on [out_lo_t, out_hi_t], with a sample axis of 1.
+    """Two-point modes with y(0) = 1, y(r) = 0 on [out_lo_t, out_hi_t], with a sample axis of 1.
 
-    Returns (Y, Yp, extended path, times, snapped r).
+    Returns (y, yp, extended path, times, snapped r).
     """
     step = path.step
     out_lo_t = round(out_lo_t / step) * step
@@ -134,15 +153,15 @@ def _boundary_on_window(path: GeodesicPath, r: float, out_lo_t: float, out_hi_t:
     if not (out_lo_c <= zero_c <= out_hi_c):
         raise DomainError("output window must contain t = 0")
     try:
-        Y, Yp = engine.boundary_solve(
-            wpath.curvatures[:, None], step, anchor_c, zero_c, out_lo_c, out_hi_c, c=wpath.c[None]
+        y, yp = engine.boundary_solve(
+            wpath.curvatures[:, None, : min(path.n, 2)], step, anchor_c, zero_c, out_lo_c, out_hi_c
         )
     except np.linalg.LinAlgError as exc:  # the solution vanishes at t = 0
         raise ConjugatePointDetected(
             f"two-point solve with endpoint r={r_snap} is singular"
         ) from exc
     times = wpath.times[out_lo_c : out_hi_c + 1].copy()
-    return Y, Yp, wpath, times, r_snap
+    return y, yp, wpath, times, r_snap
 
 
 def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> MatrixJacobiSolution:
@@ -156,8 +175,8 @@ def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> 
         raise DomainError("endpoint r must be nonzero")
     out_lo = path.t_lo if r > 0 else max(path.t_lo, round(r / path.step) * path.step)
     out_hi = min(path.t_hi, round(r / path.step) * path.step) if r > 0 else path.t_hi
-    Y, Yp, wpath, times, r_snap = _boundary_on_window(path, r, min(out_lo, 0.0), max(out_hi, 0.0))
-    sol = MatrixJacobiSolution(path=wpath, times=times, Y=Y[:, 0], Yp=Yp[:, 0], kind="boundary", r=r_snap)
+    y, yp, wpath, times, r_snap = _boundary_on_window(path, r, min(out_lo, 0.0), max(out_hi, 0.0))
+    sol = _modal_solution(wpath, times, y[:, 0], yp[:, 0], "boundary", r=r_snap)
     if times[0] - 1e-12 <= r_snap <= times[-1] + 1e-12:
         sol.meta["endpoint_norm"] = float(np.max(np.abs(sol.Y[sol.index_of(r_snap)])))
     else:
@@ -169,40 +188,41 @@ def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> 
 def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: float):
     """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid), per sample until successive ones agree.
 
-    ``solve(r, live)`` returns (Y, Yp) for the samples ``live`` (an index
-    array into the m samples), each with shape (nodes, len(live), n, n).
-    Iterates are compared per sample: a sample is frozen at the first rung
-    whose gap to the previous rung is below ``tol`` and keeps that rung's
-    (Y, Yp) and gap, so its result does not depend on the other samples.
-    Later rungs run only for the samples still live, until none is or after
-    ``max_doublings`` doublings.  Returns the kept (Y, Yp), the rungs run and
-    one array of per-sample gaps per doubling, in which a frozen sample
-    repeats its final gap.
+    ``solve(r, live)`` returns the modes (y, y') for the samples ``live`` (an
+    index array into the m samples), each with shape (nodes, len(live), M).
+    Iterates are compared per sample: the gap is the largest
+    |y_new - y_old| / (1 + |y_new|) over nodes and modes, and a sample is
+    frozen at the first rung whose gap is below ``tol`` and keeps that
+    rung's (y, y') and gap, so its result does not depend on the other
+    samples.  Later rungs run only for the samples still live, until none is
+    or after ``max_doublings`` doublings.  Returns the kept (y, y'), the
+    rungs run and one array of per-sample gaps per doubling, in which a
+    frozen sample repeats its final gap.
     """
     if max_doublings < 0:
         raise DomainError("max_doublings must be >= 0")
     r = round(r0 / step) * step
     live = np.arange(m)
     rungs, gaps = [], []
-    Y = Yp = None
+    y = yp = None
     for _ in range(max_doublings + 1):
-        Yr, Ypr = solve(r, live)
+        yr, ypr = solve(r, live)
         rungs.append(r)
-        if Y is None:
-            Y, Yp = Yr, Ypr
+        if y is None:
+            y, yp = yr, ypr
         else:
             # normalize per node so growing (unstable-side) iterates are
             # compared at relative accuracy; for contracting solutions with
-            # |Y| <= 1 this matches the absolute gap up to a factor 2
-            gap = np.max(np.abs(Yr - Y[:, live]) / (1.0 + np.abs(Yr)), axis=(0, 2, 3))
-            Y[:, live], Yp[:, live] = Yr, Ypr
+            # |y| <= 1 this matches the absolute gap up to a factor 2
+            gap = np.max(np.abs(yr - y[:, live]) / (1.0 + np.abs(yr)), axis=(0, 2))
+            y[:, live], yp[:, live] = yr, ypr
             gaps.append(gaps[-1].copy() if gaps else np.empty(m))
             gaps[-1][live] = gap
             live = live[~(gap < tol)]
             if len(live) == 0:
                 break
         r = round(2.0 * r / step) * step
-    return (Y, Yp), rungs, gaps
+    return (y, yp), rungs, gaps
 
 
 def _green_limit(
@@ -221,14 +241,14 @@ def _green_limit(
 
     def solve(r, _live):
         nonlocal work, times
-        Y, Yp, work, times, _ = _boundary_on_window(work, r, w_lo, w_hi)
-        return Y, Yp
+        y, yp, work, times, _ = _boundary_on_window(work, r, w_lo, w_hi)
+        return y, yp
 
-    (Y, Yp), rungs, gaps = _ladder(solve, 1, r_start, path.step, max_doublings, tol)
+    (y, yp), rungs, gaps = _ladder(solve, 1, r_start, path.step, max_doublings, tol)
     gaps = [float(g[0]) for g in gaps]
     meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1] if gaps else None}
     converged = bool(gaps and gaps[-1] < tol)
-    return (work, times, Y[:, 0], Yp[:, 0]), meta, converged
+    return (work, times, y[:, 0], yp[:, 0]), meta, converged
 
 
 def green_stable(
@@ -253,10 +273,9 @@ def green_stable(
     """
     window = window or (0.0, t_obs)
     result, meta, converged = _green_limit(path, +1, t_obs, tol, r0, max_doublings, window)
-    wpath, times, Y, Yp = result
-    sol = MatrixJacobiSolution(path=wpath, times=times, Y=Y, Yp=Yp, kind="green_stable", meta=meta)
-    zero = sol.index_of(0.0)
-    sol.meta["Us0"] = Yp[zero].copy()
+    wpath, times, y, yp = result
+    sol = _modal_solution(wpath, times, y, yp, "green_stable", meta=meta)
+    sol.meta["Us0"] = sol.Yp[sol.index_of(0.0)].copy()
     if not converged:
         raise GreenNotConverged(
             f"stable ladder gap {meta['final_gap']} above tolerance {tol}",
@@ -285,11 +304,9 @@ def green_unstable(
     """
     if route == "direct":
         result, meta, converged = _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
-        wpath, times, Y, Yp = result
-        sol = MatrixJacobiSolution(
-            path=wpath, times=times, Y=Y, Yp=Yp, kind="green_unstable", meta=meta
-        )
-        sol.meta["Uu0"] = Yp[sol.index_of(0.0)].copy()
+        wpath, times, y, yp = result
+        sol = _modal_solution(wpath, times, y, yp, "green_unstable", meta=meta)
+        sol.meta["Uu0"] = sol.Yp[sol.index_of(0.0)].copy()
         if not converged:
             raise GreenNotConverged(
                 f"unstable ladder gap {meta['final_gap']} above tolerance {tol}",
@@ -308,14 +325,12 @@ def green_unstable(
     except GreenNotConverged as exc:
         gs = exc.last_solution
         exc_sol = exc
-    times = -gs.times[::-1]
-    Y = gs.Y[::-1].copy()
-    Yp = -gs.Yp[::-1].copy()
-    sol = MatrixJacobiSolution(
-        path=path, times=times, Y=Y, Yp=Yp, kind="green_unstable", meta=dict(gs.meta)
-    )
+    # time reversal: the modes run backwards and their derivatives change sign;
+    # the reversed geodesic has the same frame coefficients c
+    y, yp = gs.modes
+    sol = _modal_solution(path, -gs.times[::-1], y[::-1], -yp[::-1], "green_unstable", meta=dict(gs.meta))
     sol.meta["route"] = "flip"
-    sol.meta["Uu0"] = Yp[sol.index_of(0.0)].copy()
+    sol.meta["Uu0"] = sol.Yp[sol.index_of(0.0)].copy()
     if exc_sol is not None:
         raise GreenNotConverged(str(exc_sol), last_solution=sol, gaps=exc_sol.gaps)
     return sol
@@ -395,25 +410,27 @@ def riccati_along(solution: MatrixJacobiSolution, w, t_max: Optional[float] = No
     return RiccatiSeries(times=times, z=z, kappa=kappa, norms=norms, residual=residual)
 
 
-def _flow_norms(Y: np.ndarray, Yp: np.ndarray, zero: int) -> np.ndarray:
-    """Largest singular value of [Y; Y'] pinv([Y; Y'] at node ``zero``), per node and sample.
+def _flow_norms(y: np.ndarray, yp: np.ndarray, zero: int) -> np.ndarray:
+    """Flow-derivative norms max_k |(y_k, y_k')| / |(y_k, y_k')| at node ``zero``, per node.
 
-    Y and Yp have shape (nodes, m, n, q); the result has shape (nodes, m).
+    The largest singular value of [Y; Y'] pinv([Y; Y'] at ``zero``) for
+    Y = sum_k y_k P_k: the stacked matrix is block diagonal over the modes,
+    each block of rank one.  y and yp have shape (nodes, ..., M).
     """
-    M = np.concatenate([Y, Yp], axis=2)
-    pinv0 = np.linalg.pinv(M[zero])
-    prod = np.einsum("wmiq,mqr->wmir", M, pinv0)
-    return np.linalg.svd(prod, compute_uv=False)[:, :, 0]
+    size = np.hypot(y, yp)
+    return (size / size[zero]).max(axis=-1)
 
 
 def dphi_norm_series(solution: MatrixJacobiSolution) -> np.ndarray:
-    """Sasaki operator norm of the flow derivative on the solution's span, per node.
+    """Sasaki operator norm of the flow derivative on the span of a two-point or limit solution, per node.
 
     Largest singular value of [Y(t); Y'(t)] times the pseudo-inverse of the
     initial stacked matrix, so the value at the normalization time is 1.
     """
+    if solution.modes is None:
+        raise DomainError("flow-derivative norms need a two-point or limit solution")
     zero = solution.index_of(0.0) if solution.times[0] <= 0.0 <= solution.times[-1] else 0
-    return _flow_norms(solution.Y[:, None], solution.Yp[:, None], zero)[:, 0]
+    return _flow_norms(*solution.modes, zero)
 
 
 def dphi_norm(solution: MatrixJacobiSolution, t: float) -> float:

@@ -9,14 +9,35 @@ when
 This module integrates that system together with the geodesic state on the
 half-step grid of a :class:`~warpflow.geodesics.GeodesicPath` and evaluates
 the curvature matrices of the transported frame with
-``geometry.curvature_matrix_frame``.  It shares no code with the closed-form
-frame of ``engine``, so the two can be compared node by node.
+:func:`curvature_matrix_frame`, the full contraction of the curvature tensor
+against the frame.  It shares no code with the closed-form frame of
+``engine``, so the two can be compared node by node.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from warpflow.geometry import curvature_matrix_frame
+
+def curvature_matrix_frame(h, gp2, u0, u, alpha, beta):
+    """Curvature matrix K_ij = <R(gamma', V_i) gamma', V_j> in frame components.
+
+    ``u0, u`` are the velocity components, ``alpha`` (..., n) and ``beta``
+    (..., n, n) hold the frame fields V_i = (alpha_i, beta_i).  Returns an
+    (..., n, n) symmetric stack.
+    """
+    d = np.einsum("...ik,...k->...i", beta, u)
+    gram = np.einsum("...ik,...jk->...ij", beta, beta)
+    s2 = np.sum(u * u, axis=-1)
+    u0_ = u0[..., None, None]
+    s2_ = s2[..., None, None]
+    cross = alpha[..., None, :] * d[..., :, None] + alpha[..., :, None] * d[..., None, :]
+    aa = alpha[..., :, None] * alpha[..., None, :]
+    dd = d[..., :, None] * d[..., None, :]
+    h_ = h[..., None, None] if np.ndim(h) else h
+    gp2_ = gp2[..., None, None] if np.ndim(gp2) else gp2
+    return h_ * (u0_ * cross - aa * s2_ - u0_ * u0_ * gram) + gp2_ * (dd - s2_ * gram)
+
+
 
 
 def _rhs(spec, state):

@@ -1,18 +1,45 @@
-"""Reference two-point solve: the matrix Jacobi sweep with QR renormalization.
+"""Reference Jacobi solves: the matrix RK4 march and sweep with QR renormalization.
 
-The n x n system Y'' + K Y = 0 is marched as the (2n x n) frame [Y; Y'] from
-the vanishing end, QR-renormalized whenever its entries exceed a threshold,
-and the accumulated right factors are restored when the output is normalized
-to Y = I.  It reads full curvature matrices, so it checks the scalar sweeps of
-``engine.boundary_solve`` without relying on the split K = k2 I + (k1 - k2) c c^T.
+The n x n system Y'' + K Y = 0 is marched as the (2n x q) frame [Y; Y'].  The
+sweep starts at the vanishing end, is QR-renormalized whenever its entries
+exceed a threshold, and the accumulated right factors are restored when the
+output is normalized to Y = I.  Both read full curvature matrices, so they
+check the scalar modes of ``engine`` and ``jacobi`` without relying on the
+split K = k2 I + (k1 - k2) c c^T.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from warpflow.engine import _jacobi_step
+from warpflow.engine import _rk4_step
 
 _THRESHOLD = 1e6
+
+
+def _jacobi_step(Ks, F, h, n):
+    """One RK4 step of (Y, Y')' = (Y', -K Y); Ks holds K at the start, midpoint and end."""
+
+    def rhs(stage, G):
+        return np.concatenate([G[:, n:], -np.einsum("mij,mjq->miq", Ks[stage], G[:, :n])], axis=1)
+
+    return _rk4_step(rhs, F, h)
+
+
+def matrix_ivp_march(K_fine, step, Y0, Yp0):
+    """March the first-order system (Y, Y') along the whole fine grid.
+
+    ``K_fine`` has shape (J, m, n, n); returns (Y, Yp) with shape (C+1, m, n, q)
+    on the coarse grid.
+    """
+    J, m, n, _ = K_fine.shape
+    C = (J - 1) // 2
+    F = np.concatenate([np.asarray(Y0, float), np.asarray(Yp0, float)], axis=1)
+    out = np.empty((C + 1, m, 2 * n, F.shape[-1]))
+    out[0] = F
+    for c in range(C):
+        F = _jacobi_step((K_fine[2 * c], K_fine[2 * c + 1], K_fine[2 * c + 2]), F, step, n)
+        out[c + 1] = F
+    return out[:, :, :n, :], out[:, :, n:, :]
 
 
 def matrix_boundary_solve(K_fine, step, anchor_c, zero_c, out_lo, out_hi):

@@ -45,22 +45,21 @@ def test_sweep_renormalization_is_per_sample():
     table = np.empty((nodes, len(ks), 2))
     for s, k in enumerate(ks):
         table[:, s] = -k * np.array([1.0, 0.5])[None] * (1.0 + 0.3 * np.sin(t))[:, None]
-    c = np.array([[0.6, 0.8], [1.0, 0.0], [-0.28, 0.96]])
-    K = engine.split_matrix(table, c)
     anchor = (nodes - 1) // 2
     span = 60
 
-    # the unrenormalized sweep from the anchor: only the first sample crosses
-    Yb, Ypb = engine.jacobi_ivp_march(K[::-1], step, np.zeros((3, 2, 2)), np.broadcast_to(np.eye(2), (3, 2, 2)))
-    peak = np.maximum(np.abs(Yb).max(axis=(0, 2, 3)), np.abs(Ypb).max(axis=(0, 2, 3)))
-    assert peak[0] > engine._RENORM_THRESHOLD
-    assert np.all(peak[1:] < engine._RENORM_THRESHOLD)
+    # the sweep from the anchor: only the first sample is ever rescaled
+    F = np.zeros((2, 1, len(ks), 2))
+    F[1] = -1.0
+    _, scales = engine.scalar_march(table, step, anchor, 0, F, 0, anchor)
+    rescaled = scales.max(axis=(0, 1, 3)) > 0
+    assert rescaled.tolist() == [True, False, False]
 
-    Y, Yp = engine.boundary_solve(table, step, anchor, 0, 0, span, c=c)
+    y, yp = engine.boundary_solve(table, step, anchor, 0, 0, span)
     for s in range(len(ks)):
-        Ys, Yps = engine.boundary_solve(table[:, s:s + 1], step, anchor, 0, 0, span, c=c[s:s + 1])
-        assert np.array_equal(Y[:, s], Ys[:, 0])
-        assert np.array_equal(Yp[:, s], Yps[:, 0])
+        ys, yps = engine.boundary_solve(table[:, s:s + 1], step, anchor, 0, 0, span)
+        assert np.array_equal(y[:, s], ys[:, 0])
+        assert np.array_equal(yp[:, s], yps[:, 0])
 
 
 def test_ladder_freezes_each_sample(anosov_spec):

@@ -9,10 +9,9 @@ to rounding, at every step size.
 import numpy as np
 import pytest
 
-from frame_oracle import transported_frame
+from frame_oracle import curvature_matrix_frame, transported_frame
 from warpflow import scenarios
 from warpflow.geodesics import integrate_geodesic, unit_tangent_from_direction
-from warpflow.geometry import curvature_matrix_frame
 
 _PERIODIC = scenarios.build_anosov_example(3.0, n=2)
 

@@ -13,7 +13,7 @@ def _constant_sweep(step, r, out_hi):
     """Two-point solution at constant curvature -1 with anchor r, on coarse nodes [0, out_hi]."""
     anchor = int(round(r / step))
     table = np.full((2 * anchor + 1, 1, 2), -1.0)
-    Y, Yp = engine.boundary_solve(table, step, anchor, 0, 0, out_hi, c=C_UNIT)
+    Y, Yp = (engine.split_matrix(a, C_UNIT) for a in engine.boundary_solve(table, step, anchor, 0, 0, out_hi))
     t = step * np.arange(out_hi + 1)
     # sinh(r - t) / sinh(r) and its derivative, in a form that does not overflow
     decay = np.exp(-2.0 * (r - t))
@@ -45,7 +45,8 @@ def test_single_sample_matches_matrix_sweep(anosov_spec):
     for r in (20.0, 64.0):
         wpath = extend_path(path, 0.0, r)
         anchor = wpath.coarse_index(r)
-        Y, Yp = engine.boundary_solve(wpath.curvatures[:, None], 0.01, anchor, 0, 0, 800, c=wpath.c[None])
+        modes = engine.boundary_solve(wpath.curvatures[:, None], 0.01, anchor, 0, 0, 800)
+        Y, Yp = (engine.split_matrix(a, wpath.c[None]) for a in modes)
         Yo, Ypo = matrix_boundary_solve(wpath.K[:, None], 0.01, anchor, 0, 0, 800)
         for new, old in ((Y, Yo), (Yp, Ypo)):
             # relative to the largest entry per node
