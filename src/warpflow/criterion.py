@@ -23,7 +23,7 @@ import numpy as np
 from . import engine
 from .errors import DomainError, VanishingJacobiField
 from .geodesics import GeodesicPath, UnitTangent, flip, unit_tangent_from_direction
-from .jacobi import MatrixJacobiSolution, _flow_norms, _ladder
+from .jacobi import MatrixJacobiSolution, _flow_norms, _ladder, _Sweeps
 from .scenarios import ScenarioBounds, case_bound
 from .warp import WarpSpec
 
@@ -120,7 +120,8 @@ def _curvature_averages(y: np.ndarray, k: np.ndarray, weights: np.ndarray, times
     J *= J
     den = J.sum(axis=-1)
     J *= k[:, :, None, :]
-    kappa = J.sum(axis=-1) / den
+    with np.errstate(invalid="ignore"):  # 0/0 where a field vanishes, which ``degenerate`` flags
+        kappa = J.sum(axis=-1) / den
     cum = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(times)[:, None, None], axis=0)
     averages = cum / (times[1:] - times[0])[:, None, None]
     return averages, safe * np.sqrt(den), degenerate
@@ -361,48 +362,25 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
 
     n_coarse = int(round(horizon / step))
     w = n_coarse + 1
-    opts = dict(step=step, store=False)
 
     run = engine.integrate_states(
-        spec, x0, None, u00, u0v, t0=0.0, t1=round(green_r0 / step) * step, **opts
+        spec, x0, None, u00, u0v, t0=0.0, t1=round(green_r0 / step) * step, step=step, store=False
     )
     # per node (k1, k2); the Jacobi data stay the scalar modes of K = k2 I + (k1 - k2) c c^T
-    table = run["curvatures"][..., : min(spec.n, 2)]
-    c = run["frame"][1]
-    max_unit = run["max_unit_defect"]
-    tail = run["final_state"]
-    del run
-
-    def extend(to_r, live):
-        nonlocal table, tail
-        have = (len(table) - 1) * step / 2.0
-        seg = engine.integrate_states(
-            spec, tail["x"], None, tail["u0"], tail["u"],
-            t0=0.0, t1=round((to_r - have) / step) * step,
-            frame0=(tail["alpha"], tail["beta"]), **opts,
-        )
-        table = np.concatenate([table, seg["curvatures"][1:, :, : table.shape[-1]]], axis=0)
-        # a frozen sample's defect covers only the rungs it used
-        max_unit[live] = np.maximum(max_unit[live], seg["max_unit_defect"][live])
-        tail = seg["final_state"]
-
-    def solve(r, live):
-        need_c = int(round(r / step))
-        if 2 * need_c + 1 > len(table):
-            extend(r, live)
-        tab = table[: 2 * need_c + 1]
-        # copy the table only when some samples are frozen
-        return engine.boundary_solve(tab if len(live) == m else tab[:, live], step, need_c, 0, 0, n_coarse)
-
-    (y, yp), _, gaps_hist = _ladder(solve, m, green_r0, step, green_max_doublings, green_tol)
+    ends = [{"x": x0, "u0": u00, "u": u0v}, run["final_state"]]
+    sweeps = _Sweeps(spec, step, run["curvatures"][..., : min(spec.n, 2)], 0, ends, (0, n_coarse),
+                     run["max_unit_defect"])
+    del run  # the sweeps hold the only reference to the first table
+    (y, yp), _, gaps_hist = _ladder(sweeps.solve, m, green_r0, step, green_max_doublings, green_tol)
+    max_unit = sweeps.max_unit
 
     final_gaps = gaps_hist[-1] if gaps_hist else np.full(m, np.inf)
     green_ok = final_gaps < green_tol
     drifted = max_unit > drift_tol
 
     times = step * np.arange(w)
-    weights = _sasaki_mode_weights(c, yp[0])
-    averages, Jnorm, degenerate = _curvature_averages(y, table[: 2 * n_coarse + 1 : 2], weights, times)
+    weights = _sasaki_mode_weights(engine.start_frame(u00, u0v)[1], yp[0])
+    averages, Jnorm, degenerate = _curvature_averages(y, sweeps.table[: 2 * n_coarse + 1 : 2], weights, times)
     norms = _flow_norms(y, yp, 0)
 
     sidx = np.unique(np.concatenate([np.arange(0, w, series_stride), [w - 1]]))

@@ -50,23 +50,21 @@ _STATE_KEYS = ("x", "y", "u0", "u")
 _BLOCK_NODES = 256
 
 
-def complete_orthonormal_frame(velocity: np.ndarray) -> np.ndarray:
-    """Complete unit rows (m, d) to orthonormal frames (m, d-1, d) normal to them."""
-    v = np.asarray(velocity, dtype=float)
+def start_frame(u0, u):
+    """Constant coefficients (e, c, w) of the default start frame at velocities (u0 (m,), u (m, n)).
+
+    The frame rows V_i = (alpha_i, beta_i) complete the unit velocity to an
+    orthonormal basis (by QR).  e (m, n) is the fiber direction of the
+    velocity (the first unit vector where the fiber velocity is 0), c (m, n)
+    holds c_i = <V_i, E1> and w (m, n, n) the fiber parts
+    w_i = beta_i - c_i u0 e, so that V_i = c_i E1 + (0, w_i) with
+    E1 = (-s, u0 e) and s = <u, e>.
+    """
+    v = np.concatenate([u0[:, None], u], axis=1)
     m, d = v.shape
     basis = np.concatenate([v[:, :, None], np.broadcast_to(np.eye(d), (m, d, d))], axis=2)
-    q = np.linalg.qr(basis, mode="reduced")[0]
-    return q[:, :, 1:].transpose(0, 2, 1).copy()
-
-
-def _frame_coefficients(u0, u, alpha, beta):
-    """Constant coefficients (e, c, w) of frames V_i = (alpha_i, beta_i) at velocities (u0, u).
-
-    e (m, n) is the fiber direction of the velocity (the first unit vector
-    where the fiber velocity is 0), c (m, n) holds c_i = <V_i, E1> and
-    w (m, n, n) the fiber parts w_i = beta_i - c_i u0 e, so that
-    V_i = c_i E1 + (0, w_i) with E1 = (-s, u0 e) and s = <u, e>.
-    """
+    frame = np.linalg.qr(basis, mode="reduced")[0][:, :, 1:].transpose(0, 2, 1).copy()
+    alpha, beta = frame[:, :, 0], frame[:, :, 1:]
     # scaling by the largest component keeps subnormal fiber velocities' direction
     big = np.abs(u).max(axis=-1, keepdims=True)
     v = np.where(big == 0.0, np.eye(u.shape[-1])[0], u / np.where(big == 0.0, 1.0, big))
@@ -173,23 +171,21 @@ def integrate_states(
     t0: float,
     t1: float,
     step: float,
-    with_frame: bool = True,
-    frame0=None,
+    with_curvatures: bool = True,
     store: bool = True,
     drift_tol=None,
 ):
     """Integrate geodesics from t0 to t1, with the curvature coefficients of their frames.
 
     Returns a dict of fine-grid arrays in integration order; times are
-    monotone from t0 to t1 (possibly decreasing).  With ``with_frame`` it
-    holds the table ``curvatures`` (J, m, 2) of (k1, k2) per node and the
-    coefficients ``frame`` = (e, c, w) of the frame ``frame0`` (alpha, beta)
-    at t0 (default: :func:`complete_orthonormal_frame` of the velocity), see
-    the module docstring; ``final_state`` then also carries the frame at t1.
-    With ``store`` the dict also holds every state series (x, y, u0, u), the
-    momenta and the unit-speed defect; without it y is not integrated and
-    only the maximum defects and the final state are kept.  Raises
-    :class:`IntegratorDrift` when a conservation defect exceeds ``drift_tol``.
+    monotone from t0 to t1 (possibly decreasing).  With ``with_curvatures``
+    it holds the table ``curvatures`` (J, m, 2) of (k1, k2) per node, which
+    needs no frame (see the module docstring; a frame's coefficients come
+    from :func:`start_frame`).  With ``store`` the dict also holds every
+    state series (x, y, u0, u), the momenta and the unit-speed defect;
+    without it y is not integrated and only the maximum defects and the
+    final state are kept.  Raises :class:`IntegratorDrift` when a
+    conservation defect exceeds ``drift_tol``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -209,12 +205,7 @@ def integrate_states(
     J = 2 * n_coarse + 1
 
     out = {"times_fine": t0 + hf * np.arange(J), "m": m}
-    if with_frame:
-        if frame0 is None:
-            frame = complete_orthonormal_frame(np.concatenate([u0s[:, None], u], axis=1))
-            frame0 = frame[:, :, 0], frame[:, :, 1:]
-        alpha, beta = np.asarray(frame0[0], float), np.asarray(frame0[1], float)
-        out["frame"] = _frame_coefficients(u0s, u, alpha.reshape(m, n), beta.reshape(m, n, n))
+    if with_curvatures:
         out["curvatures"] = np.empty((J, m, 2))
     state = [x, y, u0s, u]
     # The loop tabulates each node's state and log-derivatives; curvature
@@ -246,7 +237,7 @@ def integrate_states(
         u0s, u, gp = tab["u0"], tab["u"], tab["gp"]
         s2 = (u * u).sum(axis=-1)
         speed2 = u0s * u0s + s2
-        if with_frame:
+        if with_curvatures:
             gp2 = gp * gp
             h = tab["gpp"] + gp2
             out["curvatures"][nodes, :, 0] = -(h * speed2 * speed2)
@@ -294,9 +285,7 @@ def integrate_states(
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom
-    final = out["final_state"] = dict(zip(_STATE_KEYS, state))
-    if with_frame:
-        final["alpha"], final["beta"] = slice_frame(out["frame"], final["u0"], final["u"])
+    out["final_state"] = dict(zip(_STATE_KEYS, state))
     if drift_tol is not None:
         worst_unit = float(np.max(max_unit))
         worst_mom = float(np.max(max_mom))
@@ -318,7 +307,7 @@ def conservation_scan(spec: WarpSpec, x0, y0, u00, u0vec, *, t_end: float, step:
     """
     t_end = np.sign(t_end) * round(abs(t_end) / step) * step  # snap to the grid
     run = integrate_states(
-        spec, x0, y0, u00, u0vec, t0=0.0, t1=float(t_end), step=step, with_frame=False, store=False
+        spec, x0, y0, u00, u0vec, t0=0.0, t1=float(t_end), step=step, with_curvatures=False, store=False
     )
     return run["max_unit_defect"], run["max_momentum_defect"]
 

@@ -86,9 +86,10 @@ class GeodesicPath:
 
     Data lives on the fine grid (half the requested step); ``times`` exposes
     the coarse, user-facing grid.  The parallel frame rows are
-    V_i = (alpha_i, beta_i) in the orthonormal basis.  ``curvatures`` holds
-    (k1, k2) per node and ``c`` the frame coefficients c_i = <V_i, E1>, so
-    K = k2 I + (k1 - k2) c c^T (see ``engine``).
+    V_i = (alpha_i, beta_i) in the orthonormal basis, with the constant
+    coefficients ``frame`` = (e, c, w) of V_i = c_i E1 + (0, w_i).
+    ``curvatures`` holds (k1, k2) per node, so K = k2 I + (k1 - k2) c c^T
+    (see ``engine``).
     """
 
     spec: WarpSpec
@@ -103,7 +104,7 @@ class GeodesicPath:
     beta: np.ndarray
     K: np.ndarray
     curvatures: np.ndarray
-    c: np.ndarray
+    frame: tuple
     momenta: np.ndarray
     unit_defect: np.ndarray
     max_unit_defect: float
@@ -114,6 +115,10 @@ class GeodesicPath:
     @property
     def n(self) -> int:
         return self.spec.n
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.frame[1]
 
     @property
     def times(self) -> np.ndarray:
@@ -157,15 +162,15 @@ class GeodesicPath:
 _SERIES = ("times_fine", "x", "y", "u0", "u", "alpha", "beta", "K", "curvatures", "momenta", "unit_defect")
 
 
-def _squeeze_run(run: dict, reverse: bool) -> tuple:
-    """The series of a stored single-sample run in time order, with its frame and K assembled, and c."""
-    c = run["frame"][1]
-    alpha, beta = engine.slice_frame(run["frame"], run["u0"], run["u"])
-    run = {**run, "alpha": alpha, "beta": beta, "K": engine.split_matrix(run["curvatures"], c)}
+def _squeeze_run(run: dict, frame: tuple, reverse: bool) -> dict:
+    """The series of a stored single-sample run in time order, with the frame (e, c, w) and K assembled."""
+    frame = tuple(part[None] for part in frame)
+    alpha, beta = engine.slice_frame(frame, run["u0"], run["u"])
+    run = {**run, "alpha": alpha, "beta": beta, "K": engine.split_matrix(run["curvatures"], frame[1])}
     sl = slice(None, None, -1) if reverse else slice(None)
     view = {key: run[key][sl, 0].copy() for key in _SERIES[1:]}
     view["times_fine"] = run["times_fine"][sl].copy()
-    return view, c[0]
+    return view
 
 
 def integrate_geodesic(
@@ -188,24 +193,24 @@ def integrate_geodesic(
         spec, [theta0.x], [theta0.y], [u0], [u], t0=0.0, t1=float(t_end), step=step, drift_tol=drift_tol
     )
     reverse = t_end < 0
-    view, c = _squeeze_run(run, reverse)
+    frame = tuple(part[0] for part in engine.start_frame(np.array([u0]), u[None]))
     return GeodesicPath(
         spec=spec,
         theta0=theta0,
         step=step,
-        **view,
-        c=c,
+        **_squeeze_run(run, frame, reverse),
+        frame=frame,
         max_unit_defect=float(run["max_unit_defect"][0]),
         max_momentum_defect=float(run["max_momentum_defect"][0]),
-        t0_index=len(view["times_fine"]) - 1 if reverse else 0,
+        t0_index=len(run["times_fine"]) - 1 if reverse else 0,
     )
 
 
 def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> GeodesicPath:
     """The path grown to the grid window [t_lo, t_hi] by resuming RK4 from its end nodes.
 
-    Each end is continued from its stored state and frame and glued on;
-    defects of the new pieces are measured against the path's initial
+    Each end is continued from its stored state and glued on, with the
+    path's frame coefficients; defects of the new pieces are measured against the path's initial
     momenta.  A run beyond ``drift_tol`` (None: unchecked) raises
     :class:`IntegratorDrift`.
     """
@@ -221,14 +226,13 @@ def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> Geodesic
             continue
         run = engine.integrate_states(
             path.spec, [path.x[j]], [path.y[j]], [path.u0[j]], [path.u[j]],
-            t0=path.times_fine[j], t1=t_target, step=step,
-            frame0=(path.alpha[j][None], path.beta[j][None]), drift_tol=drift_tol,
+            t0=path.times_fine[j], t1=t_target, step=step, drift_tol=drift_tol,
         )
         max_unit = max(max_unit, float(run["max_unit_defect"][0]))
         defect, dead = engine._momentum_defect(run["momenta"][:, 0], run["u"][:, 0], p0, p_scale)
         alive = np.logical_and.accumulate(~dead)
         max_mom = max(max_mom, float(np.max(np.where(alive, defect, 0.0))))
-        view, _ = _squeeze_run(run, reverse=j == 0)
+        view = _squeeze_run(run, path.frame, reverse=j == 0)
         if j == 0:
             pieces.insert(0, {key: v[:-1] for key, v in view.items()})
             t0_index += len(view["times_fine"]) - 1
@@ -239,7 +243,7 @@ def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> Geodesic
         theta0=path.theta0,
         step=step,
         **{key: np.concatenate([piece[key] for piece in pieces], axis=0) for key in _SERIES},
-        c=path.c,
+        frame=path.frame,
         max_unit_defect=max_unit,
         max_momentum_defect=max_mom,
         t0_index=t0_index,

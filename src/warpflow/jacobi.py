@@ -17,12 +17,16 @@ Here K = k2 I + (k1 - k2) c c^T with a constant unit vector c (see
 scalar two-point solutions y1, y2 (the modes), swept from the vanishing
 endpoint: exact at horizons where shooting from t = 0 loses every digit to
 cancellation.  Such solutions carry their modes, on which the r-ladder and
-the flow-derivative norms work.  Initial-value solves march the scalar
+the flow-derivative norms work.  Every two-point solve, batched
+(``criterion``) or single-sample (m = 1), sweeps the table of one driver,
+:class:`_Sweeps`, which grows the (k1, k2) table past the stored data as far
+as r needs and stores no path there.  Initial-value solves march the scalar
 fundamental pairs (A_k, B_k) and assemble Y = sum_k P_k (A_k Y(0) + B_k Y'(0))
 with P_1 = c c^T, P_2 = I - c c^T; they carry no modes.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import engine
 from .errors import ConjugatePointDetected, DomainError, GreenNotConverged, VanishingJacobiField
-from .geodesics import GeodesicPath, extend_path, flip, integrate_geodesic
+from .geodesics import GeodesicPath, extend_path
 from .geometry import sectional_curvature_frame
 
 
@@ -136,47 +140,96 @@ def solve_jacobi_ivp(path: GeodesicPath, Y0, Yp0) -> MatrixJacobiSolution:
     )
 
 
-def _boundary_on_window(path: GeodesicPath, r: float, out_lo_t: float, out_hi_t: float):
-    """Two-point modes with y(0) = 1, y(r) = 0 on [out_lo_t, out_hi_t], with a sample axis of 1.
+class _Sweeps:
+    """Two-point sweeps of m geodesics on a (k1, k2) table that grows on demand.
 
-    Returns (y, yp, extended path, times, snapped r).
+    ``table`` (J, m, M) holds the coefficients of the M = min(n, 2) modes on
+    the fine nodes of a grid span whose coarse node ``zero`` is t = 0, and
+    ``ends`` the states (x, u0, u) at its first and last node.  A sweep whose
+    endpoint lies past either end first grows the table there by resuming
+    ``engine.integrate_states`` from that end's state without storing it;
+    the grown table equals that of one longer run bit for bit.  ``window``
+    holds the coarse offsets (lo, hi) of the output window from t = 0, and
+    ``max_unit`` each sample's largest unit-speed defect, which a growth
+    raises only for the samples that asked for it.
+    """
+
+    def __init__(self, spec, step, table, zero, ends, window, max_unit):
+        self.spec, self.step = spec, step
+        self.table, self.zero, self.ends = table, zero, ends
+        self.window, self.max_unit = window, max_unit
+
+    def _grow(self, side, steps, live):
+        """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node."""
+        end = self.ends[side]
+        seg = engine.integrate_states(
+            self.spec, end["x"], None, end["u0"], end["u"],
+            t0=0.0, t1=(steps if side else -steps) * self.step, step=self.step, store=False,
+        )
+        new = seg["curvatures"][1:, :, : self.table.shape[-1]]
+        self.table = np.concatenate([self.table, new] if side else [new[::-1], self.table])
+        self.zero += 0 if side else steps
+        # a frozen sample's defect covers only the rungs it used
+        self.max_unit[live] = np.maximum(self.max_unit[live], seg["max_unit_defect"][live])
+        self.ends[side] = seg["final_state"]
+
+    def solve(self, r: float, live: np.ndarray) -> tuple:
+        """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, for the samples ``live``."""
+        offset = round(r / self.step)
+        anchor = self.zero + offset
+        if anchor < 0:
+            self._grow(0, -anchor, live)
+            anchor = 0
+        if 2 * anchor >= len(self.table):
+            self._grow(1, anchor - (len(self.table) - 1) // 2, live)
+        lo, hi = (self.zero + k for k in self.window)
+        first = min(lo, anchor)
+        tab = self.table[2 * first : 2 * max(hi, anchor) + 1]
+        # copy the table only when some samples are frozen
+        tab = tab if len(live) == tab.shape[1] else tab[:, live]
+        try:
+            return engine.boundary_solve(tab, self.step, *(k - first for k in (anchor, self.zero, lo, hi)))
+        except np.linalg.LinAlgError as exc:  # a solution vanishes at t = 0
+            r_snap = offset * self.step
+            raise ConjugatePointDetected(f"two-point solve with endpoint r={r_snap} is singular") from exc
+
+
+def _path_sweeps(path: GeodesicPath, lo_t: float, hi_t: float) -> tuple:
+    """Sweeps at m = 1 onto the grid window [lo_t, hi_t], which must contain t = 0.
+
+    Returns the driver, the path extended over the window (only) and the
+    window's times.
     """
     step = path.step
-    out_lo_t = round(out_lo_t / step) * step
-    out_hi_t = round(out_hi_t / step) * step
-    r_snap = round(r / step) * step
-    wpath = extend_path(path, min(out_lo_t, r_snap, 0.0), max(out_hi_t, r_snap, 0.0))
-    anchor_c = wpath.coarse_index(r_snap)
-    zero_c = wpath.coarse_index(0.0)
-    out_lo_c = wpath.coarse_index(out_lo_t)
-    out_hi_c = wpath.coarse_index(out_hi_t)
-    if not (out_lo_c <= zero_c <= out_hi_c):
+    lo, hi = round(lo_t / step), round(hi_t / step)
+    if not lo <= 0 <= hi:
         raise DomainError("output window must contain t = 0")
-    try:
-        y, yp = engine.boundary_solve(
-            wpath.curvatures[:, None, : min(path.n, 2)], step, anchor_c, zero_c, out_lo_c, out_hi_c
-        )
-    except np.linalg.LinAlgError as exc:  # the solution vanishes at t = 0
-        raise ConjugatePointDetected(
-            f"two-point solve with endpoint r={r_snap} is singular"
-        ) from exc
-    times = wpath.times[out_lo_c : out_hi_c + 1].copy()
-    return y, yp, wpath, times, r_snap
+    wpath = extend_path(path, lo * step, hi * step)
+    zero = wpath.coarse_index(0.0)
+    ends = [{"x": wpath.x[j, None], "u0": wpath.u0[j, None], "u": wpath.u[j, None]} for j in (0, -1)]
+    table = wpath.curvatures[:, None, : min(path.n, 2)]
+    sweeps = _Sweeps(path.spec, step, table, zero, ends, (lo, hi), np.zeros(1))
+    return sweeps, wpath, wpath.times[zero + lo : zero + hi + 1].copy()
 
 
 def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> MatrixJacobiSolution:
     """The two-point solution Y(0) = I, Y(r) = 0, sampled on the path grid.
 
-    The path is extended (integration resumed from its ends) when r lies
-    beyond it; extensions are not drift-checked, so ``drift_tol`` has no
-    effect.  The endpoint condition holds exactly by construction.
+    Past the path the coefficient table is grown (integration resumed from
+    its ends) up to r, and the path is not; the growth is not drift-checked,
+    so ``drift_tol`` has no effect, and its largest unit-speed defect is
+    ``meta["growth_unit_defect"]``.  The endpoint condition holds exactly by
+    construction.
     """
     if r == 0.0:
         raise DomainError("endpoint r must be nonzero")
-    out_lo = path.t_lo if r > 0 else max(path.t_lo, round(r / path.step) * path.step)
-    out_hi = min(path.t_hi, round(r / path.step) * path.step) if r > 0 else path.t_hi
-    y, yp, wpath, times, r_snap = _boundary_on_window(path, r, min(out_lo, 0.0), max(out_hi, 0.0))
+    r_snap = round(r / path.step) * path.step
+    out_lo = path.t_lo if r > 0 else max(path.t_lo, r_snap)
+    out_hi = min(path.t_hi, r_snap) if r > 0 else path.t_hi
+    sweeps, wpath, times = _path_sweeps(path, min(out_lo, 0.0), max(out_hi, 0.0))
+    y, yp = sweeps.solve(r, np.arange(1))
     sol = _modal_solution(wpath, times, y[:, 0], yp[:, 0], "boundary", r=r_snap)
+    sol.meta["growth_unit_defect"] = float(sweeps.max_unit[0])
     if times[0] - 1e-12 <= r_snap <= times[-1] + 1e-12:
         sol.meta["endpoint_norm"] = float(np.max(np.abs(sol.Y[sol.index_of(r_snap)])))
     else:
@@ -233,22 +286,23 @@ def _green_limit(
     r0: float,
     max_doublings: int,
     window: tuple,
-):
+) -> MatrixJacobiSolution:
+    """The r-ladder on ``window`` for the endpoint r -> side * inf; raises :class:`GreenNotConverged`."""
     w_lo, w_hi = window
     r_start = side * max(r0, abs(w_hi) + 4.0, abs(w_lo) + 4.0, t_obs + 4.0)
-    work = path
-    times = None
-
-    def solve(r, _live):
-        nonlocal work, times
-        y, yp, work, times, _ = _boundary_on_window(work, r, w_lo, w_hi)
-        return y, yp
-
-    (y, yp), rungs, gaps = _ladder(solve, 1, r_start, path.step, max_doublings, tol)
+    sweeps, wpath, times = _path_sweeps(path, w_lo, w_hi)
+    (y, yp), rungs, gaps = _ladder(sweeps.solve, 1, r_start, path.step, max_doublings, tol)
     gaps = [float(g[0]) for g in gaps]
-    meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1] if gaps else None}
-    converged = bool(gaps and gaps[-1] < tol)
-    return (work, times, y[:, 0], yp[:, 0]), meta, converged
+    name, U0 = ("stable", "Us0") if side > 0 else ("unstable", "Uu0")
+    meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1] if gaps else None,
+            "growth_unit_defect": float(sweeps.max_unit[0])}
+    sol = _modal_solution(wpath, times, y[:, 0], yp[:, 0], f"green_{name}", meta=meta)
+    sol.meta[U0] = sol.Yp[sol.index_of(0.0)].copy()
+    if not (gaps and gaps[-1] < tol):
+        raise GreenNotConverged(
+            f"{name} ladder gap {meta['final_gap']} above tolerance {tol}", last_solution=sol, gaps=gaps
+        )
+    return sol
 
 
 def green_stable(
@@ -263,26 +317,17 @@ def green_stable(
 ) -> MatrixJacobiSolution:
     """Limit of two-point solutions Y(0)=I, Y(r)=0 as r doubles upward.
 
-    Successive ladder iterates are compared in sup-Frobenius norm on
-    ``window`` (default [0, t_obs]); the last iterate is returned once the
-    gap drops below ``tol``.  ``r0`` is raised automatically so every rung
-    lies beyond the observation window.  On failure to converge within
-    ``max_doublings`` doublings, :class:`GreenNotConverged` carries the last
-    iterate and the gap sequence.  The path is extended without a drift
-    check, so ``drift_tol`` has no effect here.
+    Successive ladder iterates are compared per node and mode on ``window``
+    (default [0, t_obs]), see :func:`_ladder`; the last iterate is returned
+    once the gap drops below ``tol``.  ``r0`` is raised automatically so
+    every rung lies beyond the observation window.  On failure to converge
+    within ``max_doublings`` doublings, :class:`GreenNotConverged` carries
+    the last iterate and the gap sequence.  The solution's path ends at the
+    window: past it only the coefficient table grows, without a drift check,
+    so ``drift_tol`` has no effect here; the growth's largest unit-speed
+    defect is ``meta["growth_unit_defect"]``.
     """
-    window = window or (0.0, t_obs)
-    result, meta, converged = _green_limit(path, +1, t_obs, tol, r0, max_doublings, window)
-    wpath, times, y, yp = result
-    sol = _modal_solution(wpath, times, y, yp, "green_stable", meta=meta)
-    sol.meta["Us0"] = sol.Yp[sol.index_of(0.0)].copy()
-    if not converged:
-        raise GreenNotConverged(
-            f"stable ladder gap {meta['final_gap']} above tolerance {tol}",
-            last_solution=sol,
-            gaps=meta["gaps"],
-        )
-    return sol
+    return _green_limit(path, +1, t_obs, tol, r0, max_doublings, window or (0.0, t_obs))
 
 
 def green_unstable(
@@ -292,48 +337,24 @@ def green_unstable(
     *,
     r0: float = 8.0,
     max_doublings: int = 12,
-    route: str = "direct",
+    route: Optional[str] = None,
     drift_tol: float = 1e-7,
 ) -> MatrixJacobiSolution:
-    """Limit of two-point solutions with vanishing end r -> -inf.
+    """Limit of two-point solutions with vanishing end r -> -inf, on [0, t_obs].
 
-    ``route="direct"`` anchors the two-point solves at negative r;
-    ``route="flip"`` runs the stable construction along the velocity-reversed
-    geodesic and maps it back through time reversal.  The two routes agree to
-    the ladder tolerance.
+    The two-point solves anchor at negative r; otherwise as
+    :func:`green_stable`, so ``drift_tol`` has no effect.  ``route`` is
+    deprecated and ignored: the stable construction along the
+    velocity-reversed geodesic, mapped back through time reversal, gives the
+    same bits.
     """
-    if route == "direct":
-        result, meta, converged = _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
-        wpath, times, y, yp = result
-        sol = _modal_solution(wpath, times, y, yp, "green_unstable", meta=meta)
-        sol.meta["Uu0"] = sol.Yp[sol.index_of(0.0)].copy()
-        if not converged:
-            raise GreenNotConverged(
-                f"unstable ladder gap {meta['final_gap']} above tolerance {tol}",
-                last_solution=sol,
-                gaps=meta["gaps"],
-            )
-        return sol
-    if route != "flip":
-        raise DomainError(f"unknown route {route!r}")
-    fpath = integrate_geodesic(path.spec, flip(path.theta0), t_obs, path.step, drift_tol=drift_tol)
-    exc_sol = None
-    try:
-        gs = green_stable(
-            fpath, t_obs, tol, r0=r0, max_doublings=max_doublings, window=(-t_obs, 0.0), drift_tol=drift_tol
+    if route is not None:
+        warnings.warn(
+            "green_unstable(route=...) is deprecated and ignored; both routes gave the same solution",
+            DeprecationWarning,
+            stacklevel=2,
         )
-    except GreenNotConverged as exc:
-        gs = exc.last_solution
-        exc_sol = exc
-    # time reversal: the modes run backwards and their derivatives change sign;
-    # the reversed geodesic has the same frame coefficients c
-    y, yp = gs.modes
-    sol = _modal_solution(path, -gs.times[::-1], y[::-1], -yp[::-1], "green_unstable", meta=dict(gs.meta))
-    sol.meta["route"] = "flip"
-    sol.meta["Uu0"] = sol.Yp[sol.index_of(0.0)].copy()
-    if exc_sol is not None:
-        raise GreenNotConverged(str(exc_sol), last_solution=sol, gaps=exc_sol.gaps)
-    return sol
+    return _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
 
 
 # ---------------------------------------------------------------------------

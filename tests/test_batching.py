@@ -27,7 +27,8 @@ def test_frame_and_curvature_tables_are_per_sample(anosov_spec):
     solo = [run(x0[s:s + 1], u00[s:s + 1], u[s:s + 1]) for s in range(len(thetas))]
     for s, alone in enumerate(solo):
         assert np.array_equal(batch["curvatures"][:, s], alone["curvatures"][:, 0])
-        for part, part_alone in zip(batch["frame"], alone["frame"]):
+        frame_alone = engine.start_frame(u00[s:s + 1], u[s:s + 1])
+        for part, part_alone in zip(engine.start_frame(u00, u), frame_alone):
             assert np.array_equal(part[s], part_alone[0])
         assert np.array_equal(batch["max_unit_defect"][s], alone["max_unit_defect"][0])
         for key, value in batch["final_state"].items():

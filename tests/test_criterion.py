@@ -255,12 +255,15 @@ class TestDeduplication:
         distinct = len(np.unique(np.array(rows) + 0.0, axis=0))  # + 0.0 maps -0.0 to 0.0
         assert len(base) < distinct < 2 * len(base)
 
+        # a first leg starts at the sample's x; ladder growth resumes from the tails
+        starts = {float(th.x) for th in base}
         first_legs = []
         integrate = engine.integrate_states
 
         def counting(*args, **kwargs):
             out = integrate(*args, **kwargs)
-            if kwargs.get("frame0") is None:
+            if set(np.atleast_1d(args[1]).tolist()) <= starts:
+                assert kwargs["t0"] == 0.0
                 first_legs.append(out["m"])
             return out
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from warpflow import scenarios
 from warpflow.errors import GreenNotConverged, VanishingJacobiField
-from warpflow.geodesics import integrate_geodesic, unit_tangent_from_direction
+from warpflow.geodesics import flip, integrate_geodesic, unit_tangent_from_direction
 from warpflow.jacobi import (
     SasakiVector,
     dphi_norm,
@@ -34,6 +37,26 @@ def _const_path(const_spec, t_end=5.0, step=0.01):
 def _generic_anosov_path(anosov_spec, t_end=8.0, step=0.005):
     th = unit_tangent_from_direction(anosov_spec, 0.2, np.zeros(2), 0.3, [0.8, 0.52])
     return integrate_geodesic(anosov_spec, th, t_end, step, drift_tol=1e-6)
+
+
+def _limit(solve, *args, **kwargs):
+    """A limit solution, converged or not, and whether its ladder converged."""
+    try:
+        return solve(*args, **kwargs), True
+    except GreenNotConverged as exc:
+        return exc.last_solution, False
+
+
+# spec, start datum (x0, b0, u), step, drift_tol, max_doublings, whether the ladder converges
+ROUTE_DATA = {
+    "anosov-n1": (lambda: scenarios.build_anosov_example(3.0, n=1), (0.7, -0.4, [0.9]), 0.01, 1e-5, 12, True),
+    "anosov-n2": (
+        lambda: scenarios.build_anosov_example(3.0, n=2), (0.7, -0.4, [0.6, 0.69]), 0.01, 1e-5, 12, True
+    ),
+    "counterexample-n3": (
+        lambda: scenarios.build_counterexample(n=3), (0.3, 0.2, [0.6, 0.5, 0.4]), 0.05, 1e-3, 2, False
+    ),
+}
 
 
 class TestSasakiVector:
@@ -152,6 +175,23 @@ class TestGreenStable:
         U = sol.meta["Us0"]
         assert np.max(np.abs(U - U.T)) < 1e-9
 
+    def test_ladder_memory_per_grown_node(self):
+        # past the window the ladder grows a (k1, k2) table, not a stored
+        # path with state, frame and K (about 700 B per fine node)
+        spec, step, t_obs = scenarios.build_counterexample(n=3), 0.05, 10.0
+        th = unit_tangent_from_direction(spec, 0.0, np.zeros(3), 1.0, np.zeros(3))
+        path = integrate_geodesic(spec, th, t_obs, step, drift_tol=1e-4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GreenNotConverged) as err:
+                green_stable(path, t_obs=t_obs, tol=1e-10, r0=32.0, max_doublings=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grown = 2 * round((err.value.last_solution.meta["r_ladder"][-1] - t_obs) / step)
+        assert grown == 4720
+        assert peak < 128 * grown
+
     def test_counterexample_ray_closed_form(self, counter_spec):
         # along the ray, the bounded two-point limit is
         # (2/pi) sqrt(1+t^2) (pi/2 - arctan t); finite-r solves approach it
@@ -179,16 +219,34 @@ class TestGreenUnstable:
         for c, t in enumerate(sol.times):
             assert np.max(np.abs(sol.Y[c] - np.exp(t) * np.eye(2))) < 1e-6
 
-    def test_flip_route_agrees_with_direct(self, anosov_spec):
-        th = unit_tangent_from_direction(anosov_spec, 0.7, np.zeros(2), -0.4, [0.6, 0.69])
-        path = integrate_geodesic(anosov_spec, th, 6.0, 0.005, drift_tol=2e-6)
-        direct = green_unstable(path, t_obs=6.0, tol=1e-9, drift_tol=2e-6)
-        flipped = green_unstable(path, t_obs=6.0, tol=1e-9, route="flip", drift_tol=2e-6)
-        i0 = flipped.index_of(0.0)
-        span = min(len(direct.times), len(flipped.times) - i0)
-        gap = np.abs(direct.Y[:span] - flipped.Y[i0 : i0 + span]) / (1.0 + np.abs(direct.Y[:span]))
-        assert np.max(gap) < 1e-6
-        assert np.max(np.abs(direct.Yp[:span] - flipped.Yp[i0 : i0 + span]) / (1.0 + np.abs(direct.Yp[:span]))) < 1e-6
+    @pytest.mark.parametrize("name", sorted(ROUTE_DATA))
+    def test_equals_reversed_stable_limit_of_flipped_geodesic(self, name):
+        # the stable construction along the velocity-reversed geodesic, on
+        # [-t_obs, 0] and read backwards in time with y' negated, gives the
+        # same bits as the direct negative-endpoint ladder
+        build, (x0, b0, u), step, drift, doublings, converges = ROUTE_DATA[name]
+        spec, t_obs = build(), 6.0
+        th = unit_tangent_from_direction(spec, x0, np.zeros(spec.n), b0, u)
+        path = integrate_geodesic(spec, th, t_obs, step, drift_tol=drift)
+        fpath = integrate_geodesic(spec, flip(th), t_obs, step, drift_tol=drift)
+        kw = dict(tol=1e-9, max_doublings=doublings)
+        direct, ok = _limit(green_unstable, path, t_obs, **kw)
+        stable, ok_flipped = _limit(green_stable, fpath, t_obs, window=(-t_obs, 0.0), **kw)
+        assert ok == ok_flipped == converges
+        assert np.array_equal(direct.times, -stable.times[::-1])
+        y, yp = stable.modes
+        assert np.array_equal(direct.modes[0], y[::-1])
+        assert np.array_equal(direct.modes[1], -yp[::-1])
+        assert direct.meta["gaps"] == stable.meta["gaps"]
+
+    def test_route_is_deprecated_and_ignored(self, anosov_spec):
+        path = _generic_anosov_path(anosov_spec, t_end=4.0, step=0.01)
+        plain = green_unstable(path, t_obs=4.0, tol=1e-8)
+        with pytest.warns(DeprecationWarning):
+            routed = green_unstable(path, t_obs=4.0, tol=1e-8, route="flip")
+        parts = [(sol.times, sol.Y, sol.Yp, *sol.modes) for sol in (plain, routed)]
+        assert all(np.array_equal(a, b) for a, b in zip(*parts))
+        assert plain.meta["gaps"] == routed.meta["gaps"]
 
     def test_norms_non_decreasing(self, anosov_spec):
         path = _generic_anosov_path(anosov_spec, t_end=6.0)
