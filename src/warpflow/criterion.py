@@ -374,7 +374,7 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     (y, yp), _, gaps_hist = _ladder(sweeps.solve, m, green_r0, step, green_max_doublings, green_tol)
     max_unit = sweeps.max_unit
 
-    final_gaps = gaps_hist[-1] if gaps_hist else np.full(m, np.inf)
+    final_gaps = gaps_hist[-1]
     green_ok = final_gaps < green_tol
     drifted = max_unit > drift_tol
 
@@ -522,6 +522,9 @@ def run_anosov_check(
         raise DomainError("horizon must be positive")
     if green_r0 is None:
         green_r0 = horizon + 16.0
+    if round(green_r0 / step) <= round(horizon / step):
+        # the first leg would end inside the output window, leaving its nodes past r0 unswept
+        raise DomainError(f"green_r0 = {green_r0} must lie beyond the horizon {horizon}")
     if x_span is None and spec.period is None:
         x_span = max(10.0, horizon / 2.0)
     if series_stride is None:
@@ -590,8 +593,8 @@ def run_anosov_check(
             tables.append((jtimes, jnorms[:, s, d]))
 
     # Capped two-point iterates underestimate the limit-solution norms
-    # (Riccati monotonicity for K <= 0), so only ladder-converged samples
-    # certify a contraction profile.
+    # (Riccati monotonicity for K <= 0), so only samples whose bracket bound
+    # is below green_tol certify a contraction profile.
     certified = keep & green_ok
 
     def profile(sl):

@@ -367,23 +367,36 @@ def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: 
 
 
 def boundary_solve(curvatures: np.ndarray, step: float, anchor_c: int, zero_c: int, out_lo: int, out_hi: int):
-    """Scalar two-point solutions y(zero) = 1, y(anchor) = 0 on coarse nodes [out_lo, out_hi].
+    """Scalar two-point solutions y(zero) = 1, y(anchor) = 0 on coarse nodes [out_lo, out_hi], with a bracket.
 
     ``curvatures`` (J, m, M) holds the coefficient k of each mode per fine
     node.  The modes are marched together from the vanishing end, where they
     are the dominant solution (:func:`scalar_march`), and the exponents are
-    restored at normalization.  Returns (y, y'), each (nodes, m, M).
+    restored at normalization.  The Neumann solutions, y'(anchor) = 0, are
+    marched beside them in the same march.  Riccati solutions u = y'/y from
+    one endpoint cannot cross, so for k <= 0 every solution whose u at the
+    anchor lies in [-inf, 0], the stable (or unstable) limit included, lies
+    between the Dirichlet u_D and the Neumann u_N at every node before it.
+    Returns (y, y', width), each (nodes, m, M), with width = |u_N - u_D|
+    (the rescaling cancels in y'/y); where either solution is zero or not
+    finite the width is inf.
     """
     if not (out_lo <= zero_c <= out_hi):
         raise ValueError("normalization node must lie inside the output window")
     target = out_lo if anchor_c > zero_c else out_hi
-    F = np.zeros((2, 1) + curvatures.shape[1:])
-    F[1] = -1.0
+    # solution 0 is Dirichlet, (y, y') = (0, -1) at the anchor; solution 1 Neumann, (1, 0)
+    F = np.zeros((2, 2) + curvatures.shape[1:])
+    F[1, 0] = -1.0
+    F[0, 1] = 1.0
     pairs, scales = scalar_march(curvatures, step, anchor_c, target, F, out_lo, out_hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = pairs[:, 1] / pairs[:, 0]
+        width = np.abs(u[:, 1] - u[:, 0])
+    width[~np.isfinite(width)] = np.inf
     pairs, scales = pairs[:, :, 0], scales[:, 0]
     zero = zero_c - out_lo
     y_zero = pairs[zero, 0]
     if (y_zero == 0.0).any():
         raise np.linalg.LinAlgError("two-point solution vanishes at the normalization node")
     ys = np.ldexp(pairs / y_zero, (scales - scales[zero])[:, None])
-    return ys[:, 0], ys[:, 1]
+    return ys[:, 0], ys[:, 1], width

@@ -31,9 +31,10 @@ class ConjugatePointDetected(RuntimeError):
 
 
 class GreenNotConverged(RuntimeError):
-    """Raised when the r-ladder for a stable/unstable solution fails to converge.
+    """Raised when no rung of the r-ladder for a stable/unstable solution is certified.
 
-    ``last_solution`` holds the final iterate, ``gaps`` the ladder gap sequence.
+    ``last_solution`` holds the final iterate, ``gaps`` the Dirichlet-Neumann
+    bracket bound of each rung (see ``jacobi._bracket_bound``).
     """
 
     def __init__(self, message, last_solution=None, gaps=None):

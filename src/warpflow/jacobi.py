@@ -17,7 +17,8 @@ Here K = k2 I + (k1 - k2) c c^T with a constant unit vector c (see
 scalar two-point solutions y1, y2 (the modes), swept from the vanishing
 endpoint: exact at horizons where shooting from t = 0 loses every digit to
 cancellation.  Such solutions carry their modes, on which the r-ladder and
-the flow-derivative norms work.  Every two-point solve, batched
+the flow-derivative norms work; the ladder stops at the first rung whose
+Dirichlet-Neumann bracket certifies the limit.  Every two-point solve, batched
 (``criterion``) or single-sample (m = 1), sweeps the table of one driver,
 :class:`_Sweeps`, which grows the (k1, k2) table past the stored data as far
 as r needs and stores no path there.  Initial-value solves march the scalar
@@ -160,21 +161,32 @@ class _Sweeps:
         self.window, self.max_unit = window, max_unit
 
     def _grow(self, side, steps, live):
-        """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node."""
-        end = self.ends[side]
+        """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node.
+
+        Only the samples ``live`` are integrated; the others' new rows and
+        end state are NaN, since a frozen sample is never swept again.
+        """
+        end, m = self.ends[side], self.table.shape[1]
         seg = engine.integrate_states(
-            self.spec, end["x"], None, end["u0"], end["u"],
+            self.spec, end["x"][live], None, end["u0"][live], end["u"][live],
             t0=0.0, t1=(steps if side else -steps) * self.step, step=self.step, store=False,
         )
         new = seg["curvatures"][1:, :, : self.table.shape[-1]]
+        state = {key: seg["final_state"][key] for key in ("x", "u0", "u")}
+        if len(live) < m:
+            new = _scatter(new, live, m, axis=1)
+            state = {key: _scatter(value, live, m) for key, value in state.items()}
         self.table = np.concatenate([self.table, new] if side else [new[::-1], self.table])
         self.zero += 0 if side else steps
         # a frozen sample's defect covers only the rungs it used
-        self.max_unit[live] = np.maximum(self.max_unit[live], seg["max_unit_defect"][live])
-        self.ends[side] = seg["final_state"]
+        self.max_unit[live] = np.maximum(self.max_unit[live], seg["max_unit_defect"])
+        self.ends[side] = state
 
     def solve(self, r: float, live: np.ndarray) -> tuple:
-        """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, for the samples ``live``."""
+        """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, and the bracket bounds.
+
+        The bound of each sample in ``live`` is that of :func:`_bracket_bound`.
+        """
         offset = round(r / self.step)
         anchor = self.zero + offset
         if anchor < 0:
@@ -187,11 +199,37 @@ class _Sweeps:
         tab = self.table[2 * first : 2 * max(hi, anchor) + 1]
         # copy the table only when some samples are frozen
         tab = tab if len(live) == tab.shape[1] else tab[:, live]
+        nodes = (k - first for k in (anchor, self.zero, lo, hi))
         try:
-            return engine.boundary_solve(tab, self.step, *(k - first for k in (anchor, self.zero, lo, hi)))
+            y, yp, width = engine.boundary_solve(tab, self.step, *nodes)
         except np.linalg.LinAlgError as exc:  # a solution vanishes at t = 0
             r_snap = offset * self.step
             raise ConjugatePointDetected(f"two-point solve with endpoint r={r_snap} is singular") from exc
+        return y, yp, _bracket_bound(width, self.step, -self.window[0])
+
+
+def _scatter(values: np.ndarray, live: np.ndarray, m: int, axis: int = 0) -> np.ndarray:
+    """``values`` of the samples ``live`` (along ``axis``) placed among m samples, NaN for the others."""
+    out = np.full(values.shape[:axis] + (m,) + values.shape[axis + 1 :], np.nan)
+    out[(slice(None),) * axis + (live,)] = values
+    return out
+
+
+def _bracket_bound(width: np.ndarray, step: float, zero: int) -> np.ndarray:
+    """Per-sample error bound max over modes of max(sup_t width, int width dt) on a window.
+
+    ``width`` (nodes, m, M) is the Dirichlet-Neumann bracket width
+    |u_N - u_D| of :func:`engine.boundary_solve` on the coarse nodes of a
+    window whose node ``zero`` is t = 0.  For k <= 0 the limit u lies in
+    the bracket, so sup_t width bounds the error of u = y'/y, and since
+    log y(t) = int_0^t u, the integral bounds |log y - log y_limit| on the
+    window.  The trapezoidal integral is summed outward from t = 0, so a
+    time-reversed window gives the same bits.
+    """
+    seg = 0.5 * step * (width[1:] + width[:-1])
+    right = np.cumsum(seg[zero:], axis=0)[-1] if zero < len(seg) else 0.0
+    left = np.cumsum(seg[zero - 1 :: -1], axis=0)[-1] if zero > 0 else 0.0
+    return np.maximum(width.max(axis=0), left + right).max(axis=-1)
 
 
 def _path_sweeps(path: GeodesicPath, lo_t: float, hi_t: float) -> tuple:
@@ -227,7 +265,7 @@ def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> 
     out_lo = path.t_lo if r > 0 else max(path.t_lo, r_snap)
     out_hi = min(path.t_hi, r_snap) if r > 0 else path.t_hi
     sweeps, wpath, times = _path_sweeps(path, min(out_lo, 0.0), max(out_hi, 0.0))
-    y, yp = sweeps.solve(r, np.arange(1))
+    y, yp, _ = sweeps.solve(r, np.arange(1))
     sol = _modal_solution(wpath, times, y[:, 0], yp[:, 0], "boundary", r=r_snap)
     sol.meta["growth_unit_defect"] = float(sweeps.max_unit[0])
     if times[0] - 1e-12 <= r_snap <= times[-1] + 1e-12:
@@ -239,18 +277,17 @@ def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> 
 
 
 def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: float):
-    """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid), per sample until successive ones agree.
+    """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid), per sample until its bracket certifies it.
 
     ``solve(r, live)`` returns the modes (y, y') for the samples ``live`` (an
-    index array into the m samples), each with shape (nodes, len(live), M).
-    Iterates are compared per sample: the gap is the largest
-    |y_new - y_old| / (1 + |y_new|) over nodes and modes, and a sample is
-    frozen at the first rung whose gap is below ``tol`` and keeps that
-    rung's (y, y') and gap, so its result does not depend on the other
-    samples.  Later rungs run only for the samples still live, until none is
-    or after ``max_doublings`` doublings.  Returns the kept (y, y'), the
-    rungs run and one array of per-sample gaps per doubling, in which a
-    frozen sample repeats its final gap.
+    index array into the m samples), each with shape (nodes, len(live), M),
+    and their bracket bounds (len(live),) (see :func:`_bracket_bound`).  A
+    sample is frozen at the first rung whose bound is below ``tol`` and
+    keeps that rung's (y, y') and bound, so its result does not depend on
+    the other samples.  Later rungs run only for the samples still live,
+    until none is or after ``max_doublings`` doublings.  Returns the kept
+    (y, y'), the rungs run and one array of per-sample bounds per rung, in
+    which a frozen sample repeats its final bound.
     """
     if max_doublings < 0:
         raise DomainError("max_doublings must be >= 0")
@@ -259,21 +296,17 @@ def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: floa
     rungs, gaps = [], []
     y = yp = None
     for _ in range(max_doublings + 1):
-        yr, ypr = solve(r, live)
+        yr, ypr, bound = solve(r, live)
         rungs.append(r)
         if y is None:
             y, yp = yr, ypr
         else:
-            # normalize per node so growing (unstable-side) iterates are
-            # compared at relative accuracy; for contracting solutions with
-            # |y| <= 1 this matches the absolute gap up to a factor 2
-            gap = np.max(np.abs(yr - y[:, live]) / (1.0 + np.abs(yr)), axis=(0, 2))
             y[:, live], yp[:, live] = yr, ypr
-            gaps.append(gaps[-1].copy() if gaps else np.empty(m))
-            gaps[-1][live] = gap
-            live = live[~(gap < tol)]
-            if len(live) == 0:
-                break
+        gaps.append(gaps[-1].copy() if gaps else np.empty(m))
+        gaps[-1][live] = bound
+        live = live[~(bound < tol)]
+        if len(live) == 0:
+            break
         r = round(2.0 * r / step) * step
     return (y, yp), rungs, gaps
 
@@ -294,13 +327,13 @@ def _green_limit(
     (y, yp), rungs, gaps = _ladder(sweeps.solve, 1, r_start, path.step, max_doublings, tol)
     gaps = [float(g[0]) for g in gaps]
     name, U0 = ("stable", "Us0") if side > 0 else ("unstable", "Uu0")
-    meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1] if gaps else None,
+    meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1],
             "growth_unit_defect": float(sweeps.max_unit[0])}
     sol = _modal_solution(wpath, times, y[:, 0], yp[:, 0], f"green_{name}", meta=meta)
     sol.meta[U0] = sol.Yp[sol.index_of(0.0)].copy()
-    if not (gaps and gaps[-1] < tol):
+    if not gaps[-1] < tol:
         raise GreenNotConverged(
-            f"{name} ladder gap {meta['final_gap']} above tolerance {tol}", last_solution=sol, gaps=gaps
+            f"{name} bracket bound {meta['final_gap']} above tolerance {tol}", last_solution=sol, gaps=gaps
         )
     return sol
 
@@ -317,15 +350,17 @@ def green_stable(
 ) -> MatrixJacobiSolution:
     """Limit of two-point solutions Y(0)=I, Y(r)=0 as r doubles upward.
 
-    Successive ladder iterates are compared per node and mode on ``window``
-    (default [0, t_obs]), see :func:`_ladder`; the last iterate is returned
-    once the gap drops below ``tol``.  ``r0`` is raised automatically so
-    every rung lies beyond the observation window.  On failure to converge
-    within ``max_doublings`` doublings, :class:`GreenNotConverged` carries
-    the last iterate and the gap sequence.  The solution's path ends at the
-    window: past it only the coefficient table grows, without a drift check,
-    so ``drift_tol`` has no effect here; the growth's largest unit-speed
-    defect is ``meta["growth_unit_defect"]``.
+    Each rung's Dirichlet-Neumann bracket bounds its distance from the limit
+    on ``window`` (default [0, t_obs]), see :func:`_ladder`; the first
+    iterate whose bound is below ``tol`` is returned, and ``meta["gaps"]``
+    holds the bound of every rung.  The bound certifies the limit where the
+    curvature is non-positive (condition (A)).  ``r0`` is raised
+    automatically so every rung lies beyond the observation window.  On
+    failure to certify within ``max_doublings`` doublings,
+    :class:`GreenNotConverged` carries the last iterate and the bounds.
+    The solution's path ends at the window: past it only the coefficient
+    table grows, without a drift check, so ``drift_tol`` has no effect here;
+    the growth's largest unit-speed defect is ``meta["growth_unit_defect"]``.
     """
     return _green_limit(path, +1, t_obs, tol, r0, max_doublings, window or (0.0, t_obs))
 

@@ -56,16 +56,17 @@ def test_sweep_renormalization_is_per_sample():
     rescaled = scales.max(axis=(0, 1, 3)) > 0
     assert rescaled.tolist() == [True, False, False]
 
-    y, yp = engine.boundary_solve(table, step, anchor, 0, 0, span)
+    y, yp, _ = engine.boundary_solve(table, step, anchor, 0, 0, span)
     for s in range(len(ks)):
-        ys, yps = engine.boundary_solve(table[:, s:s + 1], step, anchor, 0, 0, span)
+        ys, yps, _ = engine.boundary_solve(table[:, s:s + 1], step, anchor, 0, 0, span)
         assert np.array_equal(y[:, s], ys[:, 0])
         assert np.array_equal(yp[:, s], yps[:, 0])
 
 
 def test_ladder_freezes_each_sample(anosov_spec):
-    # with r0 = 4 the pole sample needs a third rung, the oblique one
-    # converges at the second; each must keep its own rung
+    # with r0 = 4 the pole and the oblique sample both certify at the second
+    # rung (r = 8); each must give the bits it gives alone (samples frozen at
+    # different rungs: test_growth_integrates_only_live_samples)
     thetas = sample_thetas(anosov_spec, 14, seed=3)[0]
     pair = [thetas[0], thetas[4]]
     kw = dict(step=0.02, horizon=2.0, green_tol=1e-8, green_r0=4.0, green_max_doublings=6,
@@ -76,4 +77,31 @@ def test_ladder_freezes_each_sample(anosov_spec):
         for key in ("norms", "series_values", "Jnorms"):
             assert np.array_equal(batch[key][:, s], alone[key][:, 0]), key
         for key in ("green_gap", "green_ok", "max_unit_defect", "drifted", "degenerate"):
+            assert np.array_equal(batch[key][s], alone[key][0]), key
+
+
+def test_growth_integrates_only_live_samples(anosov_spec, monkeypatch):
+    # at tol 1e-5 the first rung (r = 4) certifies four of these six samples;
+    # the growth to r = 8 integrates only the other two, and every sample
+    # keeps the bits it has alone
+    thetas = sample_thetas(anosov_spec, 6, seed=3)[0]
+    kw = dict(step=0.02, horizon=2.0, green_tol=1e-5, green_r0=4.0, green_max_doublings=6,
+              drift_tol=1e-5, series_stride=25)
+    legs = []
+    integrate = engine.integrate_states
+
+    def counting(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        legs.append(out["m"])
+        return out
+
+    monkeypatch.setattr(engine, "integrate_states", counting)
+    batch = _chunk_pipeline(anosov_spec, thetas, **kw)
+    assert legs == [6, 2]
+    assert batch["green_ok"].all()
+    for s, th in enumerate(thetas):
+        alone = _chunk_pipeline(anosov_spec, [th], **kw)
+        for key in ("norms", "series_values", "Jnorms"):
+            assert np.array_equal(batch[key][:, s], alone[key][:, 0]), key
+        for key in ("green_gap", "max_unit_defect"):
             assert np.array_equal(batch[key][s], alone[key][0]), key

@@ -221,8 +221,8 @@ class TestVerdicts:
             assert np.array_equal(sa.values, sb.values)
 
     def test_chunk_size_does_not_change_results(self, anosov_spec):
-        # seed 3 mixes samples whose frames are renormalized with samples
-        # whose frames are not, and samples that converge at different rungs
+        # seed 3 mixes pole and oblique data; every sample certifies at the
+        # second rung (r = 8), whose sweeps are rescaled while the first's are not
         kw = dict(step=0.02, seed=3, samples=6, t_min=1.5, horizon=2.0, green_r0=4.0,
                   green_tol=1e-8, drift_tol=1e-5, workers=1)
         runs = [run_anosov_check(anosov_spec, chunk_size=size, **kw) for size in (1, 3, 28)]
@@ -279,6 +279,21 @@ class TestDeduplication:
         )
         gaps = {(f["theta"], f["side"]) for f in res.report.failures if f["kind"] == "green_gap"}
         assert gaps == {(s, side) for s in range(6) for side in ("stable", "flip")}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("green_r0", [5.0, 10.0])
+    def test_green_r0_inside_horizon_rejected(self, anosov_spec, green_r0):
+        # a first leg ending inside the window would leave its nodes past r0 unswept
+        with pytest.raises(DomainError, match="green_r0"):
+            run_anosov_check(anosov_spec, step=0.05, samples=4, t_min=5.0, horizon=10.0, green_r0=green_r0)
+
+    def test_green_r0_one_step_past_horizon_runs(self, anosov_spec):
+        res = run_anosov_check(anosov_spec, step=0.05, samples=4, t_min=5.0, horizon=10.0, green_r0=10.05,
+                               green_max_doublings=0)
+        # r one step past the window leaves the bracket wide open at its end
+        gaps = [f for f in res.report.failures if f["kind"] == "green_gap"]
+        assert len(gaps) == 8 and all(np.isfinite(f["value"]) for f in gaps)
 
 
 class TestDominance:

@@ -57,7 +57,7 @@ def _limit_modes(spec, thetas, step, horizon, r):
     run = engine.integrate_states(spec, x0, None, u00, u0v, t0=0.0, t1=r, step=step, store=False)
     table = run["curvatures"]
     nodes = int(round(horizon / step))
-    y, yp = engine.boundary_solve(table[..., : min(spec.n, 2)], step, int(round(r / step)), 0, 0, nodes)
+    y, yp, _ = engine.boundary_solve(table[..., : min(spec.n, 2)], step, int(round(r / step)), 0, 0, nodes)
     return y, yp, table[: 2 * nodes + 1 : 2], engine.start_frame(u00, u0v)[1], step * np.arange(nodes + 1)
 
 
