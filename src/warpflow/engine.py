@@ -340,9 +340,9 @@ def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: 
     (2, q, m, M) the pairs at ``start`` of q solutions.  A solution whose
     pair exceeds ``_RENORM_THRESHOLD`` is divided by a power of two (exact),
     so nothing overflows at any horizon and every decision is per sample and
-    mode.  Returns the scaled pairs (nodes, 2, q, m, M) and the base-2
-    exponents (nodes, q, m, M) taken out of them, at the coarse nodes of
-    [lo, hi] that the march passes.
+    mode, also beside a sample whose pair is NaN.  Returns the scaled pairs
+    (nodes, 2, q, m, M) and the base-2 exponents (nodes, q, m, M) taken out
+    of them, at the coarse nodes of [lo, hi] that the march passes.
     """
     direction = -1 if stop < start else 1
     scale = np.zeros(F.shape[1:], dtype=int)
@@ -356,7 +356,9 @@ def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: 
         for Ti in T:
             F = Ti[:, 0, None] * F[0] + Ti[:, 1, None] * F[1]
             node += direction
-            if np.abs(F).max() > _RENORM_THRESHOLD:
+            # the max is NaN once any pair is; "not <=" then still takes the
+            # per-element rescale below, so the neighbours cannot overflow
+            if not np.abs(F).max() <= _RENORM_THRESHOLD:
                 size = np.abs(F).max(axis=0)
                 shift = np.where(size > _RENORM_THRESHOLD, np.frexp(size)[1], 0)
                 F = np.ldexp(F, -shift)

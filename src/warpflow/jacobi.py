@@ -161,26 +161,18 @@ class _Sweeps:
         self.window, self.max_unit = window, max_unit
 
     def _grow(self, side, steps, live):
-        """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node.
-
-        Only the samples ``live`` are integrated; the others' new rows and
-        end state are NaN, since a frozen sample is never swept again.
-        """
-        end, m = self.ends[side], self.table.shape[1]
+        """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node."""
+        end = self.ends[side]
         seg = engine.integrate_states(
-            self.spec, end["x"][live], None, end["u0"][live], end["u"][live],
+            self.spec, end["x"], None, end["u0"], end["u"],
             t0=0.0, t1=(steps if side else -steps) * self.step, step=self.step, store=False,
         )
         new = seg["curvatures"][1:, :, : self.table.shape[-1]]
-        state = {key: seg["final_state"][key] for key in ("x", "u0", "u")}
-        if len(live) < m:
-            new = _scatter(new, live, m, axis=1)
-            state = {key: _scatter(value, live, m) for key, value in state.items()}
         self.table = np.concatenate([self.table, new] if side else [new[::-1], self.table])
         self.zero += 0 if side else steps
         # a frozen sample's defect covers only the rungs it used
-        self.max_unit[live] = np.maximum(self.max_unit[live], seg["max_unit_defect"])
-        self.ends[side] = state
+        self.max_unit[live] = np.maximum(self.max_unit[live], seg["max_unit_defect"][live])
+        self.ends[side] = seg["final_state"]
 
     def solve(self, r: float, live: np.ndarray) -> tuple:
         """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, and the bracket bounds.
@@ -206,13 +198,6 @@ class _Sweeps:
             r_snap = offset * self.step
             raise ConjugatePointDetected(f"two-point solve with endpoint r={r_snap} is singular") from exc
         return y, yp, _bracket_bound(width, self.step, -self.window[0])
-
-
-def _scatter(values: np.ndarray, live: np.ndarray, m: int, axis: int = 0) -> np.ndarray:
-    """``values`` of the samples ``live`` (along ``axis``) placed among m samples, NaN for the others."""
-    out = np.full(values.shape[:axis] + (m,) + values.shape[axis + 1 :], np.nan)
-    out[(slice(None),) * axis + (live,)] = values
-    return out
 
 
 def _bracket_bound(width: np.ndarray, step: float, zero: int) -> np.ndarray:

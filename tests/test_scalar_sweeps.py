@@ -96,15 +96,17 @@ def test_constant_curvature_bracket(k):
 @pytest.mark.filterwarnings("error")
 def test_bracket_width_is_inf_where_a_solution_is_not_finite():
     # sample 1's coefficients turn NaN halfway to the anchor: its width is
-    # inf on the whole window, without a warning; sample 0 is unaffected
-    step, r, out_hi = 0.01, 4.0, 100
-    anchor = int(round(r / step))
-    table = np.full((2 * anchor + 1, 2, 2), -1.0)
-    table[anchor:, 1] = np.nan
-    y, yp, width = engine.boundary_solve(table, step, anchor, 0, 0, out_hi)
-    assert np.all(np.isinf(width[:, 1])) and np.all(np.isfinite(width[:, 0]))
-    alone = engine.boundary_solve(table[:, :1], step, anchor, 0, 0, out_hi)
-    assert all(np.array_equal(a[:, 0], b[:, 0]) for a, b in zip((y, yp, width), alone))
+    # inf on the whole window, without a warning; sample 0 is unaffected,
+    # also at an r whose sweep must rescale sample 0 many times
+    step, out_hi = 0.05, 20
+    for r in (4.0, 1000.0):
+        anchor = int(round(r / step))
+        table = np.full((2 * anchor + 1, 2, 2), -1.0)
+        table[anchor:, 1] = np.nan
+        y, yp, width = engine.boundary_solve(table, step, anchor, 0, 0, out_hi)
+        assert np.all(np.isinf(width[:, 1])) and np.all(np.isfinite(width[:, 0]))
+        alone = engine.boundary_solve(table[:, :1], step, anchor, 0, 0, out_hi)
+        assert all(np.array_equal(a[:, 0], b[:, 0]) for a, b in zip((y, yp, width), alone))
 
 
 @pytest.mark.parametrize("build, step, r, horizon", [
