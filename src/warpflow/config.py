@@ -75,7 +75,10 @@ class RunConfig:
                 continue
             if key not in types or key.startswith("_"):
                 raise DomainError(f"unknown config key {key!r}")
-            setattr(self, key, types[key](raw))
+            try:
+                setattr(self, key, types[key](raw))
+            except ValueError:
+                raise DomainError(f"config key {key!r} needs {types[key].__name__}, got {raw!r}") from None
             self._explicit.add(key)
         return self
 

@@ -27,7 +27,6 @@ with P_1 = c c^T, P_2 = I - c c^T; they carry no modes.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -244,9 +243,9 @@ def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> 
     ``meta["growth_unit_defect"]``.  The endpoint condition holds exactly by
     construction.
     """
-    if r == 0.0:
-        raise DomainError("endpoint r must be nonzero")
     r_snap = round(r / path.step) * path.step
+    if r_snap == 0.0:
+        raise DomainError(f"endpoint r = {r!r} must not round to 0 on the grid of step {path.step!r}")
     out_lo = path.t_lo if r > 0 else max(path.t_lo, r_snap)
     out_hi = min(path.t_hi, r_snap) if r > 0 else path.t_hi
     sweeps, wpath, times = _path_sweeps(path, min(out_lo, 0.0), max(out_hi, 0.0))
@@ -357,23 +356,13 @@ def green_unstable(
     *,
     r0: float = 8.0,
     max_doublings: int = 12,
-    route: Optional[str] = None,
     drift_tol: float = 1e-7,
 ) -> MatrixJacobiSolution:
     """Limit of two-point solutions with vanishing end r -> -inf, on [0, t_obs].
 
     The two-point solves anchor at negative r; otherwise as
-    :func:`green_stable`, so ``drift_tol`` has no effect.  ``route`` is
-    deprecated and ignored: the stable construction along the
-    velocity-reversed geodesic, mapped back through time reversal, gives the
-    same bits.
+    :func:`green_stable`, so ``drift_tol`` has no effect.
     """
-    if route is not None:
-        warnings.warn(
-            "green_unstable(route=...) is deprecated and ignored; both routes gave the same solution",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
 
 

@@ -61,6 +61,15 @@ class TestConfig:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {line.split()[0]} must be")
 
+    @pytest.mark.parametrize("line, kind", [("samples = 2.5", "int"), ("step = fast", "float")])
+    def test_value_of_wrong_type_is_an_error(self, tmp_path, capsys, line, kind):
+        cfg_file = tmp_path / "bad.ini"
+        cfg_file.write_text(f"[run]\n{line}\n")
+        rc = main(["curvature", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        key, value = line.split(" = ")
+        assert capsys.readouterr().err == f"error: config key {key!r} needs {kind}, got {value!r}\n"
+
 
 class TestCurvatureCommand:
     def test_constant_curvature_rows(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warpflow import scenarios
-from warpflow.errors import GreenNotConverged, VanishingJacobiField
+from warpflow.errors import DomainError, GreenNotConverged, VanishingJacobiField
 from warpflow.geodesics import flip, integrate_geodesic, unit_tangent_from_direction
 from warpflow.jacobi import (
     SasakiVector,
@@ -118,6 +118,13 @@ class TestBoundarySolutions:
         for c, t in enumerate(sol.times):
             exact = np.sinh(r - t) / np.sinh(r) * np.eye(2)
             assert np.max(np.abs(sol.Y[c] - exact)) < 1e-7
+
+    @pytest.mark.parametrize("r", [0.0, 0.004, -0.004])
+    def test_endpoint_rounding_to_zero_is_a_domain_error(self, const_spec, r):
+        # r is snapped to the grid of step 0.01 first; an endpoint that lands
+        # on 0 is a bad input, not a conjugate point
+        with pytest.raises(DomainError, match="round to 0"):
+            solve_boundary(_const_path(const_spec), r)
 
     def test_endpoint_condition(self, anosov_spec):
         path = _generic_anosov_path(anosov_spec, t_end=4.0)
@@ -238,15 +245,6 @@ class TestGreenUnstable:
         assert np.array_equal(direct.modes[0], y[::-1])
         assert np.array_equal(direct.modes[1], -yp[::-1])
         assert direct.meta["gaps"] == stable.meta["gaps"]
-
-    def test_route_is_deprecated_and_ignored(self, anosov_spec):
-        path = _generic_anosov_path(anosov_spec, t_end=4.0, step=0.01)
-        plain = green_unstable(path, t_obs=4.0, tol=1e-8)
-        with pytest.warns(DeprecationWarning):
-            routed = green_unstable(path, t_obs=4.0, tol=1e-8, route="flip")
-        parts = [(sol.times, sol.Y, sol.Yp, *sol.modes) for sol in (plain, routed)]
-        assert all(np.array_equal(a, b) for a, b in zip(*parts))
-        assert plain.meta["gaps"] == routed.meta["gaps"]
 
     def test_norms_non_decreasing(self, anosov_spec):
         path = _generic_anosov_path(anosov_spec, t_end=6.0)

@@ -1,7 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import warpflow
+from warpflow import engine
 from warpflow.errors import ConditionAViolated, DomainError
 from warpflow.scenarios import (
     build_anosov_example,
@@ -10,7 +16,7 @@ from warpflow.scenarios import (
     case_bound,
     scenario_bounds,
 )
-from warpflow.warp import warp_from_config_section
+from warpflow.warp import WarpSpec, warp_from_config_section
 
 
 class TestAnosovExample:
@@ -28,11 +34,15 @@ class TestAnosovExample:
 
     def test_eta_equals_20_pi(self, anosov_spec):
         # g'' integrates to zero over a period and (a + sin + cos)^2
-        # averages to a^2 + 1; quadrature confirms the hand evaluation
-        bounds = scenario_bounds(anosov_spec)
-        assert bounds.eta == pytest.approx(20.0 * np.pi, abs=1e-8)
-        direct, _ = quad(lambda x: float(anosov_spec.h(np.asarray(x))), 0.0, 2.0 * np.pi)
-        assert direct == pytest.approx(bounds.eta, abs=1e-9)
+        # averages to a^2 + 1; at constant curvature h = k^2.  Quadrature
+        # confirms the hand evaluations 2 pi (a^2 + 1) = 20 pi and 2 pi k^2
+        cases = [(anosov_spec, 20.0 * np.pi)]
+        cases += [(build_constant_curvature(k), 2.0 * np.pi * k * k) for k in (1.0, 2.0)]
+        for spec, expected in cases:
+            bounds = scenario_bounds(spec)
+            assert bounds.eta == pytest.approx(expected, abs=1e-8)
+            direct, _ = quad(lambda x: float(spec.h(np.asarray(x))), 0.0, 2.0 * np.pi)
+            assert direct == pytest.approx(bounds.eta, abs=1e-9)
 
     def test_curvature_bound_matches_profile(self, anosov_spec):
         xs = np.linspace(0.0, 2.0 * np.pi, 20001)
@@ -80,6 +90,79 @@ class TestScenarioRegistry:
         xs = np.linspace(0.0, 6.0, 50)
         for a, b in zip(back.log_derivatives(xs), anosov_spec.log_derivatives(xs)):
             assert np.allclose(a, b)
+
+
+def _spike_spec(kappa):
+    """Periodic warp with g' = 3 + exp(kappa (cos x - 1)): a bump of width about kappa^-1/2 at x = 0."""
+
+    def triple(x):
+        x = np.asarray(x, dtype=float)
+        bump = np.exp(kappa * (np.cos(x) - 1.0))
+        return 3.0 * x, 3.0 + bump, -kappa * np.sin(x) * bump
+
+    return WarpSpec(name=f"spike({kappa:g})", n=2, mode="exponential", triple=triple,
+                    period=2.0 * np.pi, growth_bounds=(6.0, 8.0))
+
+
+class TestScenarioBounds:
+    def test_unresolved_h_is_a_domain_error(self):
+        # at 512 and 1024 nodes the bump of width 3e-3 gives 56.63 and 56.60
+        with pytest.raises(DomainError, match="not resolved"):
+            scenario_bounds(_spike_spec(1e5))
+        assert np.isfinite(scenario_bounds(_spike_spec(1e3)).eta)
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(warpflow.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import warpflow, warpflow.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+
+class TestPeriodicLimit:
+    def test_running_averages_approach_minus_eta_over_T(self, anosov_spec):
+        """|avg_t k + eta/T| <= C(b0)/t for both modes, with C(b0) derived, not fitted.
+
+        Along a unit-speed geodesic x' = b and b' = g'(1 - b^2) with
+        g' > gamma = C1/2 > 0, so b increases to 1 (b0 = -1 stays at -1).
+        The modes are k1 = -h(x) and k2 = -h(x) + (1 - b^2) g''(x) (see
+        ``engine``).  Write phi = h - eta/T, a zero-mean T-periodic function,
+        and Phi for its periodic primitive; max Phi - min Phi <= P/2 with
+        P = int_0^T |phi| dx.  Then
+
+            int_0^t phi(x(s)) ds = [Phi(x(t)) - Phi(x0)] + int_0^t phi(x) (1 - b) ds.
+
+        The first term is at most P/2.  The turning time
+        L(b0) = int_0^inf (1 - b) ds = int db / (g' (1 + b)) <= log(2/(1 + b0)) / gamma
+        bounds the second by max|phi| L(b0); at b0 = -1, x' = -1 exactly and
+        the whole integral is -[Phi(x(t)) - Phi(x0)], so L = 0 there.  For k2
+        add int_0^inf (1 - b^2) |g''| ds <= max|g''| (1 - b0) / gamma with
+        |g''| = |cos x - sin x| <= sqrt 2.  Hence t |avg_t k1 + eta/T| <= C(b0)
+        = P/2 + max|phi| L(b0) and t |avg_t k2 + eta/T| <= C(b0) + sqrt 2 (1 - b0)/gamma.
+        For a = 3: P = 34.6, max|phi| = 9.57, gamma = 3 - sqrt 2.  The
+        integration and quadrature errors are far inside this: t |avg_t k + eta/T|
+        moves by under 1e-3 between steps 0.05 and 0.02, against C(b0) >= 17.3.
+        """
+        bounds = scenario_bounds(anosov_spec)
+        T, gamma = bounds.T, bounds.C1 / 2.0
+        xs = np.linspace(0.0, T, 1 << 16, endpoint=False)
+        phi = anosov_spec.h(xs) - bounds.eta / T
+        P, phi_max = T * float(np.mean(np.abs(phi))), float(np.max(np.abs(phi)))
+        m, step = 64, 0.05
+        b0 = np.linspace(-1.0, 1.0, m)
+        u0v = np.stack([np.sqrt(1.0 - b0 * b0), np.zeros(m)], axis=1)
+        run = engine.integrate_states(anosov_spec, T * np.arange(m) / m, None, b0, u0v,
+                                      t0=0.0, t1=400.0, step=step, store=False)
+        k = run["curvatures"]
+        with np.errstate(divide="ignore"):
+            turning = np.where(b0 > -1.0, np.log(2.0 / (1.0 + b0)) / gamma, 0.0)
+        c_k1 = P / 2.0 + phi_max * turning
+        C = np.stack([c_k1, c_k1 + np.sqrt(2.0) * (1.0 - b0) / gamma], axis=1)
+        for t in (25.0, 100.0, 400.0):
+            j = int(round(2.0 * t / step))
+            # trapezoid rule on the half-step grid the kernel tabulates
+            integral = 0.25 * step * (k[0] + 2.0 * k[1:j].sum(axis=0) + k[j])
+            assert np.all(np.abs(integral + t * bounds.eta / T) <= C)
 
 
 class TestCaseBounds:
