@@ -60,14 +60,15 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     path = integrate_geodesic(spec, theta, cfg.t_end, cfg.step, drift_tol=cfg.drift_tol)
     n = spec.n
     mom_defect = path.momentum_defect_series()
+    y, u = path.y, path.u
     rows = []
     for c, t in enumerate(path.times):
         j = 2 * c
         g = float(spec.log_derivatives(np.asarray(path.x[j], float))[0])
         with np.errstate(over="ignore"):
-            dy = np.where(path.u[j] == 0.0, 0.0, np.exp(-g) * path.u[j])
+            dy = np.where(u[j] == 0.0, 0.0, np.exp(-g) * u[j])
         rows.append(
-            [t, path.x[j], *np.mod(path.y[j], 2.0 * np.pi).tolist(), path.u0[j],
+            [t, path.x[j], *np.mod(y[j], 2.0 * np.pi).tolist(), path.u0[j],
              *dy.tolist(), path.unit_defect[j], mom_defect[j]]
         )
     cols = (

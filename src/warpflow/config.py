@@ -58,6 +58,8 @@ class RunConfig:
             raise DomainError("chunk_size must be >= 1")
         if self.green_max_doublings < 0:
             raise DomainError("green_max_doublings must be >= 0")
+        if not -1.0 <= self.b0 <= 1.0:
+            raise DomainError("b0 must lie in [-1, 1]")
         return self
 
     def resolved_dict(self) -> dict:
@@ -97,7 +99,10 @@ def load_config_file(path: str) -> dict:
     the ``[run]`` section onto everything else.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise DomainError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise DomainError(f"cannot read config file {path}")
     flat = {}

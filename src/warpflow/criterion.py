@@ -363,13 +363,13 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     n_coarse = int(round(horizon / step))
     w = n_coarse + 1
 
+    state, e = engine.slice_state(x0, u00, u0v)
     run = engine.integrate_states(
-        spec, x0, None, u00, u0v, t0=0.0, t1=round(green_r0 / step) * step, step=step, store=False
+        spec, state, e, t0=0.0, t1=round(green_r0 / step) * step, step=step, store=False
     )
     # per node (k1, k2); the Jacobi data stay the scalar modes of K = k2 I + (k1 - k2) c c^T
-    ends = [{"x": x0, "u0": u00, "u": u0v}, run["final_state"]]
-    sweeps = _Sweeps(spec, step, run["curvatures"][..., : min(spec.n, 2)], 0, ends, (0, n_coarse),
-                     run["max_unit_defect"])
+    sweeps = _Sweeps(spec, step, e, run["curvatures"][..., : min(spec.n, 2)], 0, [state, run["final_state"]],
+                     (0, n_coarse), run["max_unit_defect"])
     del run  # the sweeps hold the only reference to the first table
     (y, yp), _, gaps_hist = _ladder(sweeps.solve, m, green_r0, step, green_max_doublings, green_tol)
     max_unit = sweeps.max_unit

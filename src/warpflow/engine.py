@@ -9,17 +9,23 @@ every half-step node is stored ("fine grid", index j, J = 2*C + 1 nodes).
 Coarse node c sits at fine index 2c.  Jacobi solves then march at step h and
 read curvature coefficients at fine nodes for their midpoint stages.
 
-State is kept in the orthonormal basis (d_x, f^{-1} d_{y_i}): the velocity is
-(u0, u) with u0 = x' and u_i = f y_i'.  In this basis all dynamical
-quantities stay O(1) even while f(x) sweeps hundreds of orders of magnitude;
-the conserved fiber momenta p_i = f^2 y_i' = f u_i are evaluated through logs.
+The geodesic slice.  In the orthonormal basis (d_x, f^{-1} d_{y_i}) the
+velocity is (u0, u) with u0 = x' and u_i = f y_i'.  Since u' is a multiple
+of u, the fiber direction e = u/|u| is constant and the geodesic stays in
+the totally geodesic slice spanned by d_x and e.  The kernel therefore
+steps the slice state, rows (x, u0, s) per sample with s = <u, e>:
 
-Frame and curvature in closed form.  Since u' is a multiple of u, the fiber
-direction e = u/|u| is constant and the geodesic stays in the totally
-geodesic slice spanned by d_x and e.  E1 = (-s, u0 e) with s = <u, e> (the
-velocity v turned by 90 degrees in the slice) and every (0, w) with w normal
-to e are parallel, so a parallel frame is V_i = c_i E1 + (0, w_i) with
-constant c and w, and its curvature matrix is K = k2 I + (k1 - k2) c c^T with
+    x' = u0,   u0' = g' s^2,   s' = -g' u0 s,
+
+and a stored run adds the row Y, Y' = e^{-g} s.  Only outputs rebuild the
+vectors: u = s e, y = y0 + Y e and the fiber momenta p_i = f^2 y_i' = P e_i
+with P = f s, which is evaluated through logs.  All of these stay O(1)
+while f(x) sweeps hundreds of orders of magnitude.
+
+Frame and curvature in closed form.  E1 = (-s, u0 e) (the velocity v
+turned by 90 degrees in the slice) and every (0, w) with w normal to e are
+parallel, so a parallel frame is V_i = c_i E1 + (0, w_i) with constant c
+and w, and its curvature matrix is K = k2 I + (k1 - k2) c c^T with
 
     k1 = -h |v|^4,   k2 = -(u0^2 h + s^2 g'^2),   h = g'' + g'^2,
 
@@ -40,45 +46,55 @@ from .warp import WarpSpec
 
 # a sweep's scalar pair is rescaled by a power of two once it exceeds this
 _RENORM_THRESHOLD = 1e6
-# below this, fiber-velocity components sit in (or neighbor) the subnormal
-# range where their relative precision is gone; momentum diagnostics stop
+# below this, the slice speed s sits in (or neighbors) the subnormal range
+# where its relative precision is gone; momentum diagnostics stop
 _MOMENTUM_FLOOR = 1e-300
-# order of the state the geodesic kernel steps, and of the series it stores
-_STATE_KEYS = ("x", "y", "u0", "u")
 # nodes per block of an unstored run (see integrate_states), steps per
 # block of transfer matrices in a sweep (see boundary_solve)
 _BLOCK_NODES = 256
+
+
+def fiber_direction(u):
+    """Unit fiber directions e (m, n) of fiber velocities u (m, n), and s = <u, e> (m,).
+
+    e is the first unit vector where u = 0.  Scaling by the largest
+    component keeps the direction of subnormal fiber velocities.
+    """
+    big = np.abs(u).max(axis=-1, keepdims=True)
+    v = np.where(big == 0.0, np.eye(u.shape[-1])[0], u / np.where(big == 0.0, 1.0, big))
+    e = v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    return e, (u * e).sum(axis=-1)
+
+
+def slice_state(x, u0, u):
+    """The kernel state (3, m), rows (x, u0, s), of states (x, u0, u) and their fiber directions e (m, n)."""
+    e, s = fiber_direction(np.atleast_2d(np.asarray(u, dtype=float)))
+    return np.array([np.atleast_1d(x), np.atleast_1d(u0), s], dtype=float), e
 
 
 def start_frame(u0, u):
     """Constant coefficients (e, c, w) of the default start frame at velocities (u0 (m,), u (m, n)).
 
     The frame rows V_i = (alpha_i, beta_i) complete the unit velocity to an
-    orthonormal basis (by QR).  e (m, n) is the fiber direction of the
-    velocity (the first unit vector where the fiber velocity is 0), c (m, n)
-    holds c_i = <V_i, E1> and w (m, n, n) the fiber parts
-    w_i = beta_i - c_i u0 e, so that V_i = c_i E1 + (0, w_i) with
-    E1 = (-s, u0 e) and s = <u, e>.
+    orthonormal basis (by QR).  e (m, n) is the fiber direction of
+    :func:`fiber_direction`, c (m, n) holds c_i = <V_i, E1> and w (m, n, n)
+    the fiber parts w_i = beta_i - c_i u0 e, so that V_i = c_i E1 + (0, w_i)
+    with E1 = (-s, u0 e).
     """
     v = np.concatenate([u0[:, None], u], axis=1)
     m, d = v.shape
     basis = np.concatenate([v[:, :, None], np.broadcast_to(np.eye(d), (m, d, d))], axis=2)
     frame = np.linalg.qr(basis, mode="reduced")[0][:, :, 1:].transpose(0, 2, 1).copy()
     alpha, beta = frame[:, :, 0], frame[:, :, 1:]
-    # scaling by the largest component keeps subnormal fiber velocities' direction
-    big = np.abs(u).max(axis=-1, keepdims=True)
-    v = np.where(big == 0.0, np.eye(u.shape[-1])[0], u / np.where(big == 0.0, 1.0, big))
-    e = v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    s = (u * e).sum(axis=-1)
+    e, s = fiber_direction(u)
     c = -s[:, None] * alpha + u0[:, None] * np.einsum("mik,mk->mi", beta, e)
     w = beta - c[:, :, None] * (u0[:, None, None] * e[:, None, :])
     return e, c, w
 
 
-def slice_frame(frame, u0, u):
-    """Frame fields (alpha, beta) at states (u0, u) with leading axes (..., m), from (e, c, w)."""
+def slice_frame(frame, u0, s):
+    """Frame fields (alpha, beta) at slice states (u0, s) with leading axes (..., m), from (e, c, w)."""
     e, c, w = frame
-    s = (u * e).sum(axis=-1)
     alpha = -c * s[..., None]
     beta = w + c[:, :, None] * (u0[..., None, None] * e[:, None, :])
     return alpha, beta
@@ -95,41 +111,24 @@ def split_matrix(pairs, c):
     return a2[..., None, None] * np.eye(c.shape[-1]) + (a1 - a2)[..., None, None] * cc
 
 
-def _log_momenta(g, u):
-    """Fiber momenta p_i = f u_i evaluated as sign(u_i) exp(g + log|u_i|)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = g[..., None] + np.log(np.abs(u))
-        p = np.sign(u) * np.exp(logs)
-    return np.where(np.abs(u) < _MOMENTUM_FLOOR, 0.0, p)
+def _fiber_momentum(g, s):
+    """The fiber momentum P = f s (s >= 0) evaluated as exp(g + log s); 0 below ``_MOMENTUM_FLOOR``."""
+    with np.errstate(divide="ignore", over="ignore"):
+        p = np.exp(g + np.log(s))
+    return np.where(s < _MOMENTUM_FLOOR, 0.0, p)
 
 
-def _momentum_defect(p, u, p_init, p_scale):
-    """Relative momentum defect per node, and where the fiber speed left the representable range.
+def _momentum_defect(p, s, p0, e_max):
+    """Relative defect of the fiber momenta P e per node, and where s left the representable range.
 
-    A node is dead when a fiber-velocity component with nonzero initial
-    momentum sits below ``_MOMENTUM_FLOOR``; callers mask the defect from the
-    first dead node on.
+    The defect is max_i |e_i| |P - P0| / max(1, max_i |e_i| |P0|) for
+    ``e_max`` = max_i |e_i|: the largest change of a momentum component,
+    relative to the (coordinate-dependent) size of the initial momenta.  A
+    node is dead when s sits below ``_MOMENTUM_FLOOR`` while P0 is nonzero;
+    callers mask the defect from the first dead node on.
     """
-    dead = ((np.abs(u) < _MOMENTUM_FLOOR) & (p_init != 0.0)).any(axis=-1)
-    return np.abs(p - p_init).max(axis=-1) / p_scale, dead
-
-
-def _geodesic_rhs(spec, x, y, u0, u, derivs=None):
-    """Derivatives of the state (x, y, u0, u); y may be None (not carried).
-
-    ``derivs`` is ``spec.log_derivatives(x)`` when the caller already has it.
-    """
-    g, gp, _ = spec.log_derivatives(x) if derivs is None else derivs
-    s2 = (u * u).sum(axis=-1)
-    dx = u0
-    du0 = gp * s2
-    du = -(gp * u0)[:, None] * u
-    dy = None
-    if y is not None:
-        with np.errstate(over="ignore"):
-            scale = np.exp(-g)
-        dy = np.where(u == 0.0, 0.0, scale[:, None] * u)
-    return dx, dy, du0, du
+    dead = (s < _MOMENTUM_FLOOR) & (p0 != 0.0)
+    return e_max * np.abs(p - p0) / np.maximum(1.0, e_max * np.abs(p0)), dead
 
 
 def _rk4_step(rhs, y, h, k1=None):
@@ -147,26 +146,10 @@ def _rk4_step(rhs, y, h, k1=None):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _pack(parts) -> np.ndarray:
-    """The carried parts of a geodesic state (None: not carried), flattened end to end."""
-    return np.concatenate([p.ravel() for p in parts if p is not None])
-
-
-def _unpack(S: np.ndarray, layout) -> list:
-    """Inverse of :func:`_pack` for a ``layout`` of (slice, shape) or None per part.
-
-    Each part is a C-contiguous view, laid out in memory as it would be as a
-    separate array, so ufuncs on it give the same bits.
-    """
-    return [None if lay is None else S[lay[0]].reshape(lay[1]) for lay in layout]
-
-
 def integrate_states(
     spec: WarpSpec,
-    x0,
-    y0,
-    u00,
-    u0vec,
+    state,
+    e,
     *,
     t0: float,
     t1: float,
@@ -177,24 +160,26 @@ def integrate_states(
 ):
     """Integrate geodesics from t0 to t1, with the curvature coefficients of their frames.
 
-    Returns a dict of fine-grid arrays in integration order; times are
-    monotone from t0 to t1 (possibly decreasing).  With ``with_curvatures``
-    it holds the table ``curvatures`` (J, m, 2) of (k1, k2) per node, which
-    needs no frame (see the module docstring; a frame's coefficients come
-    from :func:`start_frame`).  With ``store`` the dict also holds every
-    state series (x, y, u0, u), the momenta and the unit-speed defect;
-    without it y is not integrated and only the maximum defects and the
-    final state are kept.  Raises :class:`IntegratorDrift` when a
+    ``state`` holds the slice states (x, u0, s), or (x, u0, s, Y), one
+    column per sample (see the module docstring), and ``e`` (m, n) their
+    fiber directions, which only scale the momentum defect.  Returns a dict
+    of fine-grid arrays in integration order; times are monotone from t0 to
+    t1 (possibly decreasing).  With ``with_curvatures`` it holds the table
+    ``curvatures`` (J, m, 2) of (k1, k2) per node, which needs no frame (a
+    frame's coefficients come from :func:`start_frame`).  With ``store`` the
+    run carries Y (from 0 if ``state`` has no Y row) and the dict holds every
+    series x, u0, s, Y, the fiber momentum p = f s and the unit-speed defect;
+    without it only the maximum defects are kept.  ``final_state`` is the
+    carried state at t1.  Raises :class:`IntegratorDrift` when a
     conservation defect exceeds ``drift_tol``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    x = np.array(np.atleast_1d(x0), dtype=float)
-    m = x.shape[0]
-    n = spec.n
-    y = np.array(np.atleast_2d(y0), dtype=float).reshape(m, n) if store else None
-    u0s = np.array(np.atleast_1d(u00), dtype=float)
-    u = np.array(np.atleast_2d(u0vec), dtype=float).reshape(m, n)
+    S = np.array(state, dtype=float)[: 4 if store else 3]
+    m = S.shape[1]
+    if store and len(S) == 3:
+        S = np.vstack([S, np.zeros(m)])  # Y = 0 at t0
+    e_max = np.abs(e).max(axis=-1)
 
     span = t1 - t0
     n_coarse = max(int(round(abs(span) / step)), 0)
@@ -207,24 +192,18 @@ def integrate_states(
     out = {"times_fine": t0 + hf * np.arange(J), "m": m}
     if with_curvatures:
         out["curvatures"] = np.empty((J, m, 2))
-    state = [x, y, u0s, u]
     # The loop tabulates each node's state and log-derivatives; curvature
     # coefficients and conservation defects are then evaluated a block of
     # nodes at a time.  A stored run is one block, so its table is the output.
     block = J if store else min(J, _BLOCK_NODES)
-    table = {key: np.empty((block,) + part.shape) for key, part in zip(_STATE_KEYS, state)
-             if part is not None}
+    states = np.empty((len(S), block, m))
+    derivs_table = np.empty((3, block, m))
     if store:
-        out.update(table)
-        out["momenta"] = np.empty((J, m, n))
+        out.update(zip(("x", "u0", "s", "Y"), states))
+        out["p"] = np.empty((J, m))
         out["unit_defect"] = np.empty((J, m))
-    table.update({key: np.empty((block, m)) for key in ("g", "gp", "gpp")})
 
-    g0 = spec.log_derivatives(x)[0]
-    p_init = _log_momenta(g0, u)
-    # conservation is judged relative to the (coordinate-dependent) size of
-    # the initial momenta; for O(1) momenta this matches the absolute defect
-    p_scale = np.maximum(1.0, np.max(np.abs(p_init), axis=-1))
+    p_init = _fiber_momentum(spec.log_derivatives(S[0])[0], S[2])
     max_unit = np.zeros(m)
     max_mom = np.zeros(m)
     alive = np.ones((m,), dtype=bool)
@@ -232,60 +211,52 @@ def integrate_states(
     def flush(j0, count):
         """Curvature coefficients and defects of the ``count`` tabulated nodes from node j0 on."""
         nonlocal max_unit, max_mom, alive
-        tab = {key: value[:count] for key, value in table.items()}
         nodes = slice(j0, j0 + count)
-        u0s, u, gp = tab["u0"], tab["u"], tab["gp"]
-        s2 = (u * u).sum(axis=-1)
+        u0s, s = states[1:3, :count]
+        g, gp, gpp = derivs_table[:, :count]
+        s2 = s * s
         speed2 = u0s * u0s + s2
         if with_curvatures:
             gp2 = gp * gp
-            h = tab["gpp"] + gp2
+            h = gpp + gp2
             out["curvatures"][nodes, :, 0] = -(h * speed2 * speed2)
             out["curvatures"][nodes, :, 1] = -(u0s * u0s * h + s2 * gp2)
         unit = np.abs(speed2 - 1.0)
-        p = _log_momenta(tab["g"], u)
-        defect, dead = _momentum_defect(p, u, p_init, p_scale)
+        p = _fiber_momentum(g, s)
+        defect, dead = _momentum_defect(p, s, p_init, e_max)
         alive_nodes = alive & np.logical_and.accumulate(~dead, axis=0)
         max_unit = np.maximum(max_unit, unit.max(axis=0))
         max_mom = np.maximum(max_mom, np.where(alive_nodes, defect, 0.0).max(axis=0))
         alive = alive_nodes[-1]
         if store:
-            out["momenta"][nodes] = p
+            out["p"][nodes] = p
             out["unit_defect"][nodes] = unit
 
-    def record(j, state):
-        """Tabulate node j; returns spec.log_derivatives at its x."""
+    def rhs(_stage, S, derivs=None):
+        g, gp, _ = spec.log_derivatives(S[0]) if derivs is None else derivs
+        u0s, s = S[1], S[2]
+        dS = np.empty_like(S)
+        dS[0] = u0s
+        dS[1] = gp * (s * s)
+        dS[2] = -(gp * u0s) * s
+        if store:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dS[3] = np.where(s == 0.0, 0.0, np.exp(-g) * s)
+        return dS
+
+    for j in range(J):
+        derivs = spec.log_derivatives(S[0])
         i = j % block
-        derivs = spec.log_derivatives(state[0])
-        for key, value in zip(_STATE_KEYS + ("g", "gp", "gpp"), (*state, *derivs)):
-            if value is not None:
-                table[key][i] = value
+        states[:, i] = S
+        derivs_table[:, i] = derivs
         if i == block - 1 or j == J - 1:
             flush(j - i, i + 1)
-        return derivs
-
-    layout, start = [], 0
-    for part in state:
-        if part is None:
-            layout.append(None)
-        else:
-            layout.append((slice(start, start + part.size), part.shape))
-            start += part.size
-
-    def rhs(_stage, S):
-        return _pack(_geodesic_rhs(spec, *_unpack(S, layout)))
-
-    S = _pack(state)
-    derivs = record(0, state)
-    for j in range(J - 1):
-        k1 = _pack(_geodesic_rhs(spec, *state, derivs=derivs))
-        S = _rk4_step(rhs, S, hf, k1)
-        state = _unpack(S, layout)
-        derivs = record(j + 1, state)
+        if j < J - 1:
+            S = _rk4_step(rhs, S, hf, rhs(0, S, derivs))
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom
-    out["final_state"] = dict(zip(_STATE_KEYS, state))
+    out["final_state"] = S
     if drift_tol is not None:
         worst_unit = float(np.max(max_unit))
         worst_mom = float(np.max(max_mom))
@@ -306,8 +277,9 @@ def conservation_scan(spec: WarpSpec, x0, y0, u00, u0vec, *, t_end: float, step:
     axis, measured on the fine grid over [0, t_end].
     """
     t_end = np.sign(t_end) * round(abs(t_end) / step) * step  # snap to the grid
+    state, e = slice_state(x0, u00, u0vec)
     run = integrate_states(
-        spec, x0, y0, u00, u0vec, t0=0.0, t1=float(t_end), step=step, with_curvatures=False, store=False
+        spec, state, e, t0=0.0, t1=float(t_end), step=step, with_curvatures=False, store=False
     )
     return run["max_unit_defect"], run["max_momentum_defect"]
 

@@ -6,9 +6,11 @@ The geodesic system in coordinates (x, y_1..y_n) is
     y_i'' = -2 (f'/f) x' y_i',
 
 with the unit-speed first integral x'^2 + f^2 sum y_i'^2 = 1 and the
-conserved fiber momenta p_i = f^2 y_i'.  Integration happens in the
-orthonormal-basis variables (u0, u) = (x', f y'); the parallel frame and the
-curvature matrices are built in closed form from them, see ``engine``.
+conserved fiber momenta p_i = f^2 y_i'.  In the orthonormal-basis variables
+(u0, u) = (x', f y') the fiber direction e = u/|u| is constant, so
+integration carries only the slice state (x, u0, s) with u = s e (and the
+fiber displacement Y with y = y0 + Y e); the parallel frame and the
+curvature matrices are built in closed form from it, see ``engine``.
 """
 from __future__ import annotations
 
@@ -85,11 +87,13 @@ class GeodesicPath:
     """A time-sampled geodesic with parallel frame and curvature matrices.
 
     Data lives on the fine grid (half the requested step); ``times`` exposes
-    the coarse, user-facing grid.  The parallel frame rows are
-    V_i = (alpha_i, beta_i) in the orthonormal basis, with the constant
-    coefficients ``frame`` = (e, c, w) of V_i = c_i E1 + (0, w_i).
-    ``curvatures`` holds (k1, k2) per node, so K = k2 I + (k1 - k2) c c^T
-    (see ``engine``).
+    the coarse, user-facing grid.  x, u0, s, Y are the slice state of
+    ``engine`` and p = f s its fiber momentum; with e = ``frame[0]``, the
+    vectors y = y0 + Y e, u = s e and the momenta p e are rebuilt on access.
+    The parallel frame rows are V_i = (alpha_i, beta_i) in the orthonormal
+    basis, with the constant coefficients ``frame`` = (e, c, w) of
+    V_i = c_i E1 + (0, w_i).  ``curvatures`` holds (k1, k2) per node, so
+    K = k2 I + (k1 - k2) c c^T (see ``engine``).
     """
 
     spec: WarpSpec
@@ -97,15 +101,15 @@ class GeodesicPath:
     step: float
     times_fine: np.ndarray
     x: np.ndarray
-    y: np.ndarray
     u0: np.ndarray
-    u: np.ndarray
+    s: np.ndarray
+    Y: np.ndarray
+    p: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     K: np.ndarray
     curvatures: np.ndarray
     frame: tuple
-    momenta: np.ndarray
     unit_defect: np.ndarray
     max_unit_defect: float
     max_momentum_defect: float
@@ -117,8 +121,24 @@ class GeodesicPath:
         return self.spec.n
 
     @property
+    def e(self) -> np.ndarray:
+        return self.frame[0]
+
+    @property
     def c(self) -> np.ndarray:
         return self.frame[1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.theta0.y + self.Y[:, None] * self.e
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.s[:, None] * self.e
+
+    @property
+    def momenta(self) -> np.ndarray:
+        return self.p[:, None] * self.e
 
     @property
     def times(self) -> np.ndarray:
@@ -146,26 +166,30 @@ class GeodesicPath:
 
     def state_at(self, t: float) -> UnitTangent:
         j = self.fine_index(t)
-        return unit_tangent_from_direction(self.spec, self.x[j], self.y[j], self.u0[j], self.u[j])
+        y = self.theta0.y + self.Y[j] * self.e
+        return unit_tangent_from_direction(self.spec, self.x[j], y, self.u0[j], self.s[j] * self.e)
+
+    def slice_state_at(self, j: int) -> np.ndarray:
+        """The kernel state (4, 1) with rows (x, u0, s, Y) at fine node j."""
+        return np.array([[self.x[j]], [self.u0[j]], [self.s[j]], [self.Y[j]]])
 
     def frame_at(self, t: float) -> tuple:
         j = self.fine_index(t)
         return self.alpha[j], self.beta[j]
 
     def momentum_defect_series(self) -> np.ndarray:
-        p0 = self.momenta[self.t0_index]
-        scale = max(1.0, float(np.max(np.abs(p0))))
-        return np.max(np.abs(self.momenta - p0[None, :]), axis=-1) / scale
+        e_max = np.abs(self.e).max()
+        return engine._momentum_defect(self.p, self.s, self.p[self.t0_index], e_max)[0]
 
 
 # the fine-grid series of a GeodesicPath
-_SERIES = ("times_fine", "x", "y", "u0", "u", "alpha", "beta", "K", "curvatures", "momenta", "unit_defect")
+_SERIES = ("times_fine", "x", "u0", "s", "Y", "p", "alpha", "beta", "K", "curvatures", "unit_defect")
 
 
 def _squeeze_run(run: dict, frame: tuple, reverse: bool) -> dict:
     """The series of a stored single-sample run in time order, with the frame (e, c, w) and K assembled."""
     frame = tuple(part[None] for part in frame)
-    alpha, beta = engine.slice_frame(frame, run["u0"], run["u"])
+    alpha, beta = engine.slice_frame(frame, run["u0"], run["s"])
     run = {**run, "alpha": alpha, "beta": beta, "K": engine.split_matrix(run["curvatures"], frame[1])}
     sl = slice(None, None, -1) if reverse else slice(None)
     view = {key: run[key][sl, 0].copy() for key in _SERIES[1:]}
@@ -189,9 +213,8 @@ def integrate_geodesic(
     """
     u0, u = theta0.frame_velocity(spec)
     t_end = np.sign(t_end) * round(abs(t_end) / step) * step  # snap to the grid
-    run = engine.integrate_states(
-        spec, [theta0.x], [theta0.y], [u0], [u], t0=0.0, t1=float(t_end), step=step, drift_tol=drift_tol
-    )
+    state, e = engine.slice_state(theta0.x, u0, u)
+    run = engine.integrate_states(spec, state, e, t0=0.0, t1=float(t_end), step=step, drift_tol=drift_tol)
     reverse = t_end < 0
     frame = tuple(part[0] for part in engine.start_frame(np.array([u0]), u[None]))
     return GeodesicPath(
@@ -209,27 +232,26 @@ def integrate_geodesic(
 def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> GeodesicPath:
     """The path grown to the grid window [t_lo, t_hi] by resuming RK4 from its end nodes.
 
-    Each end is continued from its stored state and glued on, with the
-    path's frame coefficients; defects of the new pieces are measured against the path's initial
-    momenta.  A run beyond ``drift_tol`` (None: unchecked) raises
-    :class:`IntegratorDrift`.
+    Each end is continued from its stored slice state and glued on, with the
+    path's frame coefficients; defects of the new pieces are measured
+    against the path's initial momentum.  A run beyond ``drift_tol`` (None:
+    unchecked) raises :class:`IntegratorDrift`.
     """
     step = path.step
     pieces = [{key: getattr(path, key) for key in _SERIES}]
     max_unit = path.max_unit_defect
     max_mom = path.max_momentum_defect
-    p0 = path.momenta[path.t0_index]
-    p_scale = max(1.0, float(np.max(np.abs(p0))))
+    p0, e_max = path.p[path.t0_index], np.abs(path.e).max()
     t0_index = path.t0_index
     for j, t_target, grows in ((-1, t_hi, t_hi > path.t_hi + 1e-12), (0, t_lo, t_lo < path.t_lo - 1e-12)):
         if not grows:
             continue
         run = engine.integrate_states(
-            path.spec, [path.x[j]], [path.y[j]], [path.u0[j]], [path.u[j]],
+            path.spec, path.slice_state_at(j), path.e[None],
             t0=path.times_fine[j], t1=t_target, step=step, drift_tol=drift_tol,
         )
         max_unit = max(max_unit, float(run["max_unit_defect"][0]))
-        defect, dead = engine._momentum_defect(run["momenta"][:, 0], run["u"][:, 0], p0, p_scale)
+        defect, dead = engine._momentum_defect(run["p"][:, 0], run["s"][:, 0], p0, e_max)
         alive = np.logical_and.accumulate(~dead)
         max_mom = max(max_mom, float(np.max(np.where(alive, defect, 0.0))))
         view = _squeeze_run(run, path.frame, reverse=j == 0)

@@ -144,9 +144,10 @@ class _Sweeps:
     """Two-point sweeps of m geodesics on a (k1, k2) table that grows on demand.
 
     ``table`` (J, m, M) holds the coefficients of the M = min(n, 2) modes on
-    the fine nodes of a grid span whose coarse node ``zero`` is t = 0, and
-    ``ends`` the states (x, u0, u) at its first and last node.  A sweep whose
-    endpoint lies past either end first grows the table there by resuming
+    the fine nodes of a grid span whose coarse node ``zero`` is t = 0,
+    ``ends`` the kernel states (x, u0, s) at its first and last node and
+    ``e`` (m, n) the fiber directions.  A sweep whose endpoint lies past
+    either end first grows the table there by resuming
     ``engine.integrate_states`` from that end's state without storing it;
     the grown table equals that of one longer run bit for bit.  ``window``
     holds the coarse offsets (lo, hi) of the output window from t = 0, and
@@ -154,16 +155,15 @@ class _Sweeps:
     raises only for the samples that asked for it.
     """
 
-    def __init__(self, spec, step, table, zero, ends, window, max_unit):
-        self.spec, self.step = spec, step
+    def __init__(self, spec, step, e, table, zero, ends, window, max_unit):
+        self.spec, self.step, self.e = spec, step, e
         self.table, self.zero, self.ends = table, zero, ends
         self.window, self.max_unit = window, max_unit
 
     def _grow(self, side, steps, live):
         """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node."""
-        end = self.ends[side]
         seg = engine.integrate_states(
-            self.spec, end["x"], None, end["u0"], end["u"],
+            self.spec, self.ends[side], self.e,
             t0=0.0, t1=(steps if side else -steps) * self.step, step=self.step, store=False,
         )
         new = seg["curvatures"][1:, :, : self.table.shape[-1]]
@@ -228,9 +228,9 @@ def _path_sweeps(path: GeodesicPath, lo_t: float, hi_t: float) -> tuple:
         raise DomainError("output window must contain t = 0")
     wpath = extend_path(path, lo * step, hi * step)
     zero = wpath.coarse_index(0.0)
-    ends = [{"x": wpath.x[j, None], "u0": wpath.u0[j, None], "u": wpath.u[j, None]} for j in (0, -1)]
+    ends = [wpath.slice_state_at(j)[:3] for j in (0, -1)]
     table = wpath.curvatures[:, None, : min(path.n, 2)]
-    sweeps = _Sweeps(path.spec, step, table, zero, ends, (lo, hi), np.zeros(1))
+    sweeps = _Sweeps(path.spec, step, wpath.e[None], table, zero, ends, (lo, hi), np.zeros(1))
     return sweeps, wpath, wpath.times[zero + lo : zero + hi + 1].copy()
 
 

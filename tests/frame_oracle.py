@@ -53,10 +53,11 @@ def _axpy(state, h, k):
 
 
 def transported_frame(path):
-    """Frame (alpha, beta) and curvature matrices K of the transported frame on the path's fine grid.
+    """Frame (alpha, beta), curvature matrices K and states (x, u0, u) of the transport on the fine grid.
 
     Integrates forward from the path's first node, starting from its stored
-    state and frame there.
+    state and frame there; the state (x, u0, u) is stepped with all n fiber
+    components.
     """
     spec = path.spec
     h = path.step / 2.0
@@ -80,4 +81,4 @@ def transported_frame(path):
         )
     _, gp, gpp = spec.log_derivatives(xs)
     K = curvature_matrix_frame(gpp + gp * gp, gp * gp, u0s, us, alphas, betas)
-    return alphas, betas, K
+    return alphas, betas, K, (xs, u0s, us)

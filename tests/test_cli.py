@@ -70,6 +70,16 @@ class TestConfig:
         key, value = line.split(" = ")
         assert capsys.readouterr().err == f"error: config key {key!r} needs {kind}, got {value!r}\n"
 
+    @pytest.mark.parametrize("text", ["[run]\nsamples = 2\nsamples = 3\n", "samples = 2\n"],
+                             ids=["duplicate-option", "no-section-header"])
+    def test_unparsable_file_is_an_error(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "f.ini"
+        cfg_file.write_text(text)
+        rc = main(["curvature", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot parse config file {cfg_file}: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestCurvatureCommand:
     def test_constant_curvature_rows(self, tmp_path):
@@ -129,6 +139,14 @@ class TestGeodesicCommand:
         rc = main(["geodesic", "--scenario", "constant-curvature", "--k", "-1",
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("b0", ["2", "nan"])
+    def test_b0_outside_unit_interval_is_an_error(self, tmp_path, capsys, b0):
+        rc = main(["geodesic", "--scenario", "constant-curvature", "--b0", b0, "--tend", "1",
+                   "--step", "0.01", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: b0 must lie in [-1, 1]\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestJacobiAndGreenCommands:

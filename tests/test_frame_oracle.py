@@ -4,7 +4,9 @@
 geodesic the velocity turned by 90 degrees inside its slice obeys the same
 linear ODE as every RK4 stage of the transported frame, so the transported
 frame is the closed form up to rounding; the curvature matrices must agree
-to rounding, at every step size.
+to rounding, at every step size.  The oracle also steps the state
+(x, u0, u) with all n fiber components, against which the slice state
+(x, u0, s) of the kernel, with u = s e, must agree to rounding.
 """
 import numpy as np
 import pytest
@@ -35,7 +37,10 @@ def _path(name, t_end=8.0, step=0.01, drift_tol=1e-5):
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_closed_form_matches_transported_frame(name):
     path = _path(name)
-    alpha, beta, K = transported_frame(path)
+    alpha, beta, K, (x, u0, u) = transported_frame(path)
+    assert np.abs(x - path.x).max() <= 1e-12
+    assert np.abs(u0 - path.u0).max() <= 1e-12
+    assert np.abs(u - path.u).max() <= 1e-12
     scale = 1.0 + np.abs(path.K).max()
     assert np.abs(K - path.K).max() <= 1e-12 * scale
     assert np.abs(alpha - path.alpha).max() <= 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpflow import engine
+from warpflow import engine, scenarios
 from warpflow.errors import DomainError, IntegratorDrift
 from warpflow.geodesics import (
     extend_path,
@@ -110,6 +110,33 @@ class TestIntegrateGeodesic:
         assert series_max > 2.0 * path.max_momentum_defect
         assert longer.max_momentum_defect == pytest.approx(series_max, rel=1e-12)
         assert path.max_momentum_defect < series_max  # the input path is untouched
+
+
+class TestFiberPosition:
+    # on g = kx the slice is a hyperbolic half-plane in (Y, z), z = e^{-kx}/k,
+    # with Y = (y - y0).e: a geodesic is a semicircle about the centre
+    # Y - z u0/s on z = 0, which therefore stays constant along it
+    # n: (k, x0, b0, u)
+    DATA = {1: (1.0, 0.3, -0.4, [0.9]), 2: (1.0, 0.2, 0.3, [0.6, -0.7]),
+            3: (2.0, -0.1, -0.2, [0.5, 0.3, -0.6])}
+
+    @pytest.mark.parametrize("n", sorted(DATA))
+    def test_half_plane_centre_is_constant(self, n):
+        k, x0, b0, u = self.DATA[n]
+        spec = scenarios.build_constant_curvature(k, n=n)
+        y0 = np.linspace(0.5, 1.5, n)
+        th = unit_tangent_from_direction(spec, x0, y0, b0, u)
+        spreads = []
+        for step in (0.01, 0.005):
+            path = integrate_geodesic(spec, th, 6.0, step)
+            e = path.frame[0]
+            dy = path.y - y0
+            Y, s = dy @ e, path.u @ e
+            assert np.abs(dy - Y[:, None] * e).max() <= 1e-13 * (1.0 + np.abs(Y).max())
+            centre = Y - np.exp(-k * path.x) / k * path.u0 / s
+            spreads.append(np.ptp(centre))
+        assert spreads[0] < 1e-9
+        assert spreads[0] / spreads[1] >= 8.0
 
 
 class TestScalarVelocity:

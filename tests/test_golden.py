@@ -19,12 +19,18 @@ RESULTS = Path("results/constant-curvature")
 FILES = ("anosov_report.json", "anosov_series.csv", "green.json", "green.csv")
 
 
-def _script_runs():
-    path = ROOT / "scripts" / "run_constant_curvature.py"
-    spec = importlib.util.spec_from_file_location("run_constant_curvature", path)
+def _script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.RUNS
+    return module
+
+
+def _changes(name, fresh_results):
+    """The number-by-number summary of ``scripts/compare_results.py``, committed file against fresh."""
+    lines, _ = _script("compare_results").compare_file(ROOT / RESULTS / name, fresh_results / name)
+    return "; ".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +40,7 @@ def fresh_results(tmp_path_factory):
     os.chdir(work)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = [main(list(argv)) for argv in _script_runs()]
+            codes = [main(list(argv)) for argv in _script("run_constant_curvature").RUNS]
     finally:
         os.chdir(here)
     assert codes == [0] * len(codes)
@@ -49,4 +55,4 @@ def test_committed_file_set():
 def test_constant_curvature_bytes(fresh_results, name):
     fresh = (fresh_results / name).read_bytes()
     committed = (ROOT / RESULTS / name).read_bytes()
-    assert fresh == committed, f"{RESULTS / name} no longer reproduces"
+    assert fresh == committed, f"{RESULTS / name} no longer reproduces: {_changes(name, fresh_results)}"

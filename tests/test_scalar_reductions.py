@@ -54,7 +54,8 @@ def _limit_modes(spec, thetas, step, horizon, r):
     vel = [th.frame_velocity(spec) for th in thetas]
     x0 = np.array([th.x for th in thetas])
     u00, u0v = np.array([v[0] for v in vel]), np.stack([v[1] for v in vel])
-    run = engine.integrate_states(spec, x0, None, u00, u0v, t0=0.0, t1=r, step=step, store=False)
+    state, e = engine.slice_state(x0, u00, u0v)
+    run = engine.integrate_states(spec, state, e, t0=0.0, t1=r, step=step, store=False)
     table = run["curvatures"]
     nodes = int(round(horizon / step))
     y, yp, _ = engine.boundary_solve(table[..., : min(spec.n, 2)], step, int(round(r / step)), 0, 0, nodes)

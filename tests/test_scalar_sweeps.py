@@ -69,7 +69,8 @@ def _sample_table(spec, count, step, r):
     vel = [th.frame_velocity(spec) for th in thetas]
     x0 = np.array([th.x for th in thetas])
     u00, u0v = np.array([v[0] for v in vel]), np.stack([v[1] for v in vel])
-    run = engine.integrate_states(spec, x0, None, u00, u0v, t0=0.0, t1=r, step=step, store=False)
+    state, e = engine.slice_state(x0, u00, u0v)
+    run = engine.integrate_states(spec, state, e, t0=0.0, t1=r, step=step, store=False)
     return run["curvatures"][..., : min(spec.n, 2)]
 
 

@@ -151,7 +151,7 @@ class TestPeriodicLimit:
         m, step = 64, 0.05
         b0 = np.linspace(-1.0, 1.0, m)
         u0v = np.stack([np.sqrt(1.0 - b0 * b0), np.zeros(m)], axis=1)
-        run = engine.integrate_states(anosov_spec, T * np.arange(m) / m, None, b0, u0v,
+        run = engine.integrate_states(anosov_spec, *engine.slice_state(T * np.arange(m) / m, b0, u0v),
                                       t0=0.0, t1=400.0, step=step, store=False)
         k = run["curvatures"]
         with np.errstate(divide="ignore"):
