@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Summarise perfbench runs of a parent and a change into one BENCH file.
+
+Usage: python scripts/bench_file.py --pr N --parent PATH... --change PATH... [--out FILE]
+
+Each PATH is a perfbench ``result-<workload>-seed<s>-trace<t>.json`` file or
+a directory holding such files (``perfbench/out`` after a run).  Per workload
+and metric the BENCH file holds, for each side, the run count, the median
+and the quartiles of the per-run values (each already a median over the
+run's operations) and the values by seed; then the ratio of the change's
+median to the parent's, and how many seeds both sides ran and in how many of
+those the change's value is lower.  It also holds the machine block fields
+that every run agrees on, each side's commits and its failed operations.
+The file goes to ``BENCH_<N>.json`` in the current directory unless
+``--out`` names another.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+
+def _result_files(paths) -> list:
+    files = []
+    for path in map(Path, paths):
+        files.extend(sorted(path.glob("result-*.json")) if path.is_dir() else [path])
+    return files
+
+
+def _load(paths) -> list:
+    return [json.loads(path.read_text(encoding="utf-8")) for path in _result_files(paths)]
+
+
+def _summary(by_seed: dict) -> dict:
+    values = [by_seed[seed] for seed in sorted(by_seed)]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"runs": len(values), "median": median, "q1": q1, "q3": q3,
+            "by_seed": {str(seed): by_seed[seed] for seed in sorted(by_seed)}}
+
+
+def _values(records) -> dict:
+    """{workload: {metric: (unit, {seed: value})}} over a side's records."""
+    table = {}
+    for rec in records:
+        for name, entry in rec["result"]["metrics"].items():
+            _, by_seed = table.setdefault(rec["workload"], {}).setdefault(name, (entry["unit"], {}))
+            by_seed[rec["seed"]] = entry["value"]
+    return table
+
+
+def bench(pr: int, parent: list, change: list) -> dict:
+    """The BENCH document of parent and change result records."""
+    records = parent + change
+    first = records[0]["machine"]
+    machine = {key: value for key, value in first.items()
+               if key != "git_commit" and all(rec["machine"].get(key) == value for rec in records)}
+    sides = {
+        name: {"commits": sorted({rec["machine"].get("git_commit", "unknown") for rec in recs}),
+               "runs": len(recs),
+               "failed_operations": sum(rec["result"]["failed"] for rec in recs)}
+        for name, recs in (("parent", parent), ("change", change))
+    }
+    before, after = _values(parent), _values(change)
+    workloads = {}
+    for workload in sorted(set(before) & set(after)):
+        metrics = {}
+        for name in sorted(set(before[workload]) & set(after[workload])):
+            unit, old = before[workload][name]
+            new = after[workload][name][1]
+            a, b = _summary(old), _summary(new)
+            paired = sorted(set(old) & set(new))
+            metrics[name] = {
+                "unit": unit, "parent": a, "change": b,
+                "change_over_parent": b["median"] / a["median"] if a["median"] else None,
+                "paired_seeds": len(paired),
+                "change_lower_in": sum(new[seed] < old[seed] for seed in paired),
+            }
+        workloads[workload] = metrics
+    return {"pr": pr, "machine": machine, **sides, "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--parent", nargs="+", required=True)
+    parser.add_argument("--change", nargs="+", required=True)
+    parser.add_argument("--out")
+    args = parser.parse_args(argv)
+    parent, change = _load(args.parent), _load(args.change)
+    if not parent or not change:
+        print("error: no result files on one side", file=sys.stderr)
+        return 2
+    out = Path(args.out or f"BENCH_{args.pr}.json")
+    out.write_text(json.dumps(bench(args.pr, parent, change), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,12 +36,20 @@ k2 with Y = y1 c c^T + y2 (I - c c^T).  Jacobi data stay scalar here: one
 march (:func:`scalar_march`) serves two-point and initial-value solves, and
 n x n matrices are assembled only by callers that return them
 (:func:`split_matrix`).  At n = 1, I - c c^T = 0 and only mode 1 exists.
+
+Finiteness.  The kernel evaluates the warp through the unchecked
+:meth:`WarpSpec.log_triple` at every node and stage, and tests the
+tabulated x and (g, g', g'') once per block of at most ``_BLOCK_NODES``
+nodes (a stored run is one block): a non-finite value raises
+:class:`DomainError`.  A direct warp reaching f <= 0 is caught there, as
+log f is -inf or NaN.  Only the start state goes through the checked
+:meth:`WarpSpec.log_derivatives`, so a bad x0 fails at once.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import IntegratorDrift
+from .errors import DomainError, IntegratorDrift
 from .warp import WarpSpec
 
 # a sweep's scalar pair is rescaled by a power of two once it exceeds this
@@ -171,7 +179,8 @@ def integrate_states(
     series x, u0, s, Y, the fiber momentum p = f s and the unit-speed defect;
     without it only the maximum defects are kept.  ``final_state`` is the
     carried state at t1.  Raises :class:`IntegratorDrift` when a
-    conservation defect exceeds ``drift_tol``.
+    conservation defect exceeds ``drift_tol``, and :class:`DomainError` when
+    a block of nodes holds a non-finite x or warp value (module docstring).
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -211,6 +220,9 @@ def integrate_states(
     def flush(j0, count):
         """Curvature coefficients and defects of the ``count`` tabulated nodes from node j0 on."""
         nonlocal max_unit, max_mom, alive
+        if not (np.isfinite(states[0, :count]).all() and np.isfinite(derivs_table[:, :count]).all()):
+            times = out["times_fine"][[j0, j0 + count - 1]]
+            raise DomainError(f"non-finite x or warp data (g, g', g'') between t = {times[0]:g} and {times[1]:g}")
         nodes = slice(j0, j0 + count)
         u0s, s = states[1:3, :count]
         g, gp, gpp = derivs_table[:, :count]
@@ -233,26 +245,28 @@ def integrate_states(
             out["unit_defect"][nodes] = unit
 
     def rhs(_stage, S, derivs=None):
-        g, gp, _ = spec.log_derivatives(S[0]) if derivs is None else derivs
+        g, gp, _ = spec.log_triple(S[0]) if derivs is None else derivs
         u0s, s = S[1], S[2]
         dS = np.empty_like(S)
         dS[0] = u0s
         dS[1] = gp * (s * s)
         dS[2] = -(gp * u0s) * s
         if store:
-            with np.errstate(over="ignore", invalid="ignore"):
-                dS[3] = np.where(s == 0.0, 0.0, np.exp(-g) * s)
+            dS[3] = np.where(s == 0.0, 0.0, np.exp(-g) * s)
         return dS
 
-    for j in range(J):
-        derivs = spec.log_derivatives(S[0])
-        i = j % block
-        states[:, i] = S
-        derivs_table[:, i] = derivs
-        if i == block - 1 or j == J - 1:
-            flush(j - i, i + 1)
-        if j < J - 1:
-            S = _rk4_step(rhs, S, hf, rhs(0, S, derivs))
+    # The warp is evaluated unchecked; flush tests each block for
+    # non-finite values instead, so numpy's warnings are silenced here.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(J):
+            derivs = spec.log_triple(S[0])
+            i = j % block
+            states[:, i] = S
+            derivs_table[:, i] = derivs
+            if i == block - 1 or j == J - 1:
+                flush(j - i, i + 1)
+            if j < J - 1:
+                S = _rk4_step(rhs, S, hf, rhs(0, S, derivs))
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom

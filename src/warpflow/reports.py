@@ -26,7 +26,7 @@ def write_csv(path, columns, rows, config: dict) -> Path:
     lines = config_header_lines(config)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join([fmt(v) for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

@@ -89,18 +89,31 @@ class WarpSpec:
     # -- evaluation -----------------------------------------------------
 
     def log_derivatives(self, x):
-        """Return (g, g', g'') at x with g = log f.  Vectorized."""
+        """Return (g, g', g'') at x with g = log f.  Vectorized.
+
+        Raises :class:`DomainError` for a non-finite x or, in direct mode, a
+        non-positive f; :meth:`log_triple` is the same evaluation unchecked.
+        """
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise DomainError("non-finite x")
-        a, b, c = self.triple(x)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
+        a, b, c = (np.asarray(v, dtype=float) for v in self.triple(x))
+        if self.mode == "direct" and (a <= 0.0).any():
+            raise DomainError("warp function must be positive")
+        return self._log_form(a, b, c)
+
+    def log_triple(self, x):
+        """(g, g', g'') at a float array x, unchecked: the integration kernels' evaluator.
+
+        A direct warp with f <= 0 gives g = -inf or NaN (with numpy's warning
+        unless the caller silences it); callers test finiteness themselves.
+        """
+        return self._log_form(*self.triple(x))
+
+    def _log_form(self, a, b, c):
+        """(g, g', g'') from the triple's values (f, f', f'') or (g, g', g'')."""
         if self.mode == "exponential":
             return a, b, c
-        if (a <= 0.0).any():
-            raise DomainError("warp function must be positive")
         gp = b / a
         gpp = c / a - gp * gp
         return np.log(a), gp, gpp

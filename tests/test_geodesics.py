@@ -237,3 +237,44 @@ class TestConvergenceOrder:
         coarse = max(d_coarse[0][0], d_coarse[1][0])
         fine = max(d_fine[0][0], d_fine[1][0])
         assert coarse / fine >= 8.0
+
+
+class TestWarpDomain:
+    """The kernels evaluate the warp unchecked and test finiteness per block of nodes."""
+
+    @staticmethod
+    def _linear_direct_warp():
+        def triple(x):
+            x = np.asarray(x, float)
+            return 1.0 - x / 4.0, np.full_like(x, -0.25), np.zeros_like(x)
+
+        return WarpSpec(name="linear", n=2, mode="direct", triple=triple)
+
+    def test_non_finite_start_raises(self, anosov_spec):
+        state, e = engine.slice_state(np.array([np.nan]), np.array([0.6]), np.array([[0.8, 0.0]]))
+        for store in (True, False):
+            with pytest.raises(DomainError):
+                engine.integrate_states(anosov_spec, state, e, t0=0.0, t1=1.0, step=0.1, store=store)
+
+    @pytest.mark.parametrize("store", [True, False])
+    def test_axis_geodesic_through_zero_of_f_raises(self, store):
+        # x = t along the axis, so f = 1 - x/4 vanishes at t = 4 and is negative after
+        spec = self._linear_direct_warp()
+        state, e = engine.slice_state(np.array([0.0]), np.array([1.0]), np.array([[0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            engine.integrate_states(spec, state, e, t0=0.0, t1=10.0, step=0.01, store=store)
+
+    def test_scalar_series_non_finite_start_raises(self, anosov_spec):
+        with pytest.raises(DomainError):
+            scalar_velocity_series(anosov_spec, 0.5, 1.0, x0=np.nan)
+
+    def test_scalar_series_step_past_zero_of_f_raises(self):
+        # f = 1 - x^2/16; the exact orbit turns before x = 4, steps of 0.5 overshoot it
+        def triple(x):
+            x = np.asarray(x, float)
+            return 1.0 - x * x / 16.0, -x / 8.0, np.full_like(x, -1.0 / 8.0)
+
+        spec = WarpSpec(name="cap", n=1, mode="direct", triple=triple)
+        with pytest.raises(DomainError):
+            scalar_velocity_series(spec, 0.999, 20.0, step=0.5)
+        assert np.isfinite(scalar_velocity_series(spec, 0.999, 20.0, step=0.1)[2]).all()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpflow import scenarios
 from warpflow.errors import DomainError
 from warpflow.warp import WarpSpec, triple_from_scalar, warp_from_config_section
 
@@ -74,3 +75,11 @@ def test_rebased_preserves_log_derivatives(counter_spec):
     assert np.allclose(gp0, gp1, atol=1e-12)
     assert np.allclose(gpp0, gpp1, atol=1e-12)
     assert local.f(np.asarray(1.5)) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
+def test_log_triple_equals_log_derivatives(name):
+    spec = scenarios.build_scenario(name, n=2)
+    xs = np.linspace(-300.0, 300.0, 6001)
+    for unchecked, checked in zip(spec.log_triple(xs), spec.log_derivatives(xs)):
+        assert np.array_equal(unchecked, checked)
