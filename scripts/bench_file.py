@@ -8,11 +8,15 @@ a directory holding such files (``perfbench/out`` after a run).  Per workload
 and metric the BENCH file holds, for each side, the run count, the median
 and the quartiles of the per-run values (each already a median over the
 run's operations) and the values by seed; then the ratio of the change's
-median to the parent's, and how many seeds both sides ran and in how many of
-those the change's value is lower.  It also holds the machine block fields
-that every run agrees on, each side's commits and its failed operations.
-The file goes to ``BENCH_<N>.json`` in the current directory unless
-``--out`` names another.
+median to the parent's, how many seeds both sides ran and in how many of
+those the change's value is lower, the parent's interquartile range, and
+``gain_resolved``: at least ten paired seeds, the change lower in at least
+nine of every ten, and its median below the parent's by more than that
+range.  It also holds the machine block fields that every run agrees on,
+each side's commits and its failed operations.  The file goes to
+``BENCH_<N>.json`` in the current directory unless ``--out`` names another.
+Two result files of one side with the same workload and seed (say a traced
+and an untraced run) are an error: exit status 2.
 """
 from __future__ import annotations
 
@@ -41,10 +45,17 @@ def _summary(by_seed: dict) -> dict:
             "by_seed": {str(seed): by_seed[seed] for seed in sorted(by_seed)}}
 
 
-def _values(records) -> dict:
-    """{workload: {metric: (unit, {seed: value})}} over a side's records."""
-    table = {}
+def _values(side: str, records) -> dict:
+    """{workload: {metric: (unit, {seed: value})}} over a side's records.
+
+    Raises ValueError when two records share a workload and seed.
+    """
+    table, seen = {}, set()
     for rec in records:
+        key = (rec["workload"], rec["seed"])
+        if key in seen:
+            raise ValueError(f"two {side} result files for workload {key[0]} seed {key[1]}")
+        seen.add(key)
         for name, entry in rec["result"]["metrics"].items():
             _, by_seed = table.setdefault(rec["workload"], {}).setdefault(name, (entry["unit"], {}))
             by_seed[rec["seed"]] = entry["value"]
@@ -63,7 +74,7 @@ def bench(pr: int, parent: list, change: list) -> dict:
                "failed_operations": sum(rec["result"]["failed"] for rec in recs)}
         for name, recs in (("parent", parent), ("change", change))
     }
-    before, after = _values(parent), _values(change)
+    before, after = _values("parent", parent), _values("change", change)
     workloads = {}
     for workload in sorted(set(before) & set(after)):
         metrics = {}
@@ -72,11 +83,16 @@ def bench(pr: int, parent: list, change: list) -> dict:
             new = after[workload][name][1]
             a, b = _summary(old), _summary(new)
             paired = sorted(set(old) & set(new))
+            lower = sum(new[seed] < old[seed] for seed in paired)
+            iqr = a["q3"] - a["q1"]
             metrics[name] = {
                 "unit": unit, "parent": a, "change": b,
                 "change_over_parent": b["median"] / a["median"] if a["median"] else None,
                 "paired_seeds": len(paired),
-                "change_lower_in": sum(new[seed] < old[seed] for seed in paired),
+                "change_lower_in": lower,
+                "parent_iqr": iqr,
+                "gain_resolved": len(paired) >= 10 and 10 * lower >= 9 * len(paired)
+                and a["median"] - b["median"] > iqr,
             }
         workloads[workload] = metrics
     return {"pr": pr, "machine": machine, **sides, "workloads": workloads}
@@ -93,8 +109,13 @@ def main(argv=None) -> int:
     if not parent or not change:
         print("error: no result files on one side", file=sys.stderr)
         return 2
+    try:
+        doc = bench(args.pr, parent, change)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     out = Path(args.out or f"BENCH_{args.pr}.json")
-    out.write_text(json.dumps(bench(args.pr, parent, change), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(out)
     return 0
 

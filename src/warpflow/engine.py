@@ -37,10 +37,13 @@ march (:func:`scalar_march`) serves two-point and initial-value solves, and
 n x n matrices are assembled only by callers that return them
 (:func:`split_matrix`).  At n = 1, I - c c^T = 0 and only mode 1 exists.
 
-Finiteness.  The kernel evaluates the warp through the unchecked
-:meth:`WarpSpec.log_triple` at every node and stage, and tests the
-tabulated x and (g, g', g'') once per block of at most ``_BLOCK_NODES``
-nodes (a stored run is one block): a non-finite value raises
+Finiteness.  The kernel evaluates the warp unchecked.  An unstored run
+reads only g' at its RK4 stages (:meth:`WarpSpec.log_slope`); a stored run
+needs g for Y' and evaluates the full triple (:meth:`WarpSpec.log_triple`)
+at every stage.  Both evaluate (g, g', g'') of the tabulated nodes once per
+block of at most ``_BLOCK_NODES`` nodes (a stored run is one block), and
+that one array feeds the curvature table, the momentum defect and the
+finiteness test: a non-finite x or (g, g', g'') raises
 :class:`DomainError`.  A direct warp reaching f <= 0 is caught there, as
 log f is -inf or NaN.  Only the start state goes through the checked
 :meth:`WarpSpec.log_derivatives`, so a bad x0 fails at once.
@@ -139,15 +142,13 @@ def _momentum_defect(p, s, p0, e_max):
     return e_max * np.abs(p - p0) / np.maximum(1.0, e_max * np.abs(p0)), dead
 
 
-def _rk4_step(rhs, y, h, k1=None):
+def _rk4_step(rhs, y, h):
     """One classic RK4 step of y' = rhs(stage, y) over a step h.
 
     ``stage`` counts half steps into the step (0, 1, 1, 2), for right-hand
-    sides that read coefficients tabulated on a half-step grid.  ``k1`` is
-    ``rhs(0, y)`` when the caller already has it.
+    sides that read coefficients tabulated on a half-step grid.
     """
-    if k1 is None:
-        k1 = rhs(0, y)
+    k1 = rhs(0, y)
     k2 = rhs(1, y + 0.5 * h * k1)
     k3 = rhs(1, y + 0.5 * h * k2)
     k4 = rhs(2, y + h * k3)
@@ -201,12 +202,11 @@ def integrate_states(
     out = {"times_fine": t0 + hf * np.arange(J), "m": m}
     if with_curvatures:
         out["curvatures"] = np.empty((J, m, 2))
-    # The loop tabulates each node's state and log-derivatives; curvature
+    # The loop tabulates each node's state; the warp data, curvature
     # coefficients and conservation defects are then evaluated a block of
     # nodes at a time.  A stored run is one block, so its table is the output.
     block = J if store else min(J, _BLOCK_NODES)
     states = np.empty((len(S), block, m))
-    derivs_table = np.empty((3, block, m))
     if store:
         out.update(zip(("x", "u0", "s", "Y"), states))
         out["p"] = np.empty((J, m))
@@ -220,12 +220,12 @@ def integrate_states(
     def flush(j0, count):
         """Curvature coefficients and defects of the ``count`` tabulated nodes from node j0 on."""
         nonlocal max_unit, max_mom, alive
-        if not (np.isfinite(states[0, :count]).all() and np.isfinite(derivs_table[:, :count]).all()):
+        x, u0s, s = states[:3, :count]
+        g, gp, gpp = spec.log_triple(x)
+        if not all(np.isfinite(v).all() for v in (x, g, gp, gpp)):
             times = out["times_fine"][[j0, j0 + count - 1]]
             raise DomainError(f"non-finite x or warp data (g, g', g'') between t = {times[0]:g} and {times[1]:g}")
         nodes = slice(j0, j0 + count)
-        u0s, s = states[1:3, :count]
-        g, gp, gpp = derivs_table[:, :count]
         s2 = s * s
         speed2 = u0s * u0s + s2
         if with_curvatures:
@@ -244,29 +244,29 @@ def integrate_states(
             out["p"][nodes] = p
             out["unit_defect"][nodes] = unit
 
-    def rhs(_stage, S, derivs=None):
-        g, gp, _ = spec.log_triple(S[0]) if derivs is None else derivs
+    def rhs(_stage, S):
         u0s, s = S[1], S[2]
         dS = np.empty_like(S)
+        if store:
+            g, gp, _ = spec.log_triple(S[0])
+            dS[3] = np.where(s == 0.0, 0.0, np.exp(-g) * s)
+        else:
+            gp = spec.log_slope(S[0])
         dS[0] = u0s
         dS[1] = gp * (s * s)
         dS[2] = -(gp * u0s) * s
-        if store:
-            dS[3] = np.where(s == 0.0, 0.0, np.exp(-g) * s)
         return dS
 
     # The warp is evaluated unchecked; flush tests each block for
     # non-finite values instead, so numpy's warnings are silenced here.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(J):
-            derivs = spec.log_triple(S[0])
             i = j % block
             states[:, i] = S
-            derivs_table[:, i] = derivs
             if i == block - 1 or j == J - 1:
                 flush(j - i, i + 1)
             if j < J - 1:
-                S = _rk4_step(rhs, S, hf, rhs(0, S, derivs))
+                S = _rk4_step(rhs, S, hf)
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom

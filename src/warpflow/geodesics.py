@@ -363,7 +363,7 @@ def scalar_velocity_series(
     states[:, 0] = state
 
     def rhs(_stage, state):
-        gp = spec.log_triple(state[:1])[1]
+        gp = spec.log_slope(state[:1])
         return np.array([np.tanh(state[1] / 2.0), 2.0 * gp[0]])
 
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -32,6 +32,9 @@ def build_anosov_example(a: float, n: int = 2) -> WarpSpec:
         s, c = np.sin(x), np.cos(x)
         return _a * x - c + s, _a + s + c, c - s
 
+    def slope(x, _a=float(a)):
+        return _a + np.sin(x) + np.cos(x)
+
     xs = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)
     _, gp, gpp = triple(xs)
     h = gpp + gp * gp
@@ -50,6 +53,7 @@ def build_anosov_example(a: float, n: int = 2) -> WarpSpec:
         n=n,
         mode="exponential",
         triple=triple,
+        slope=slope,
         period=2.0 * np.pi,
         growth_bounds=(c1, c2),
         claims=("A", "B", "C"),
@@ -66,6 +70,10 @@ def build_counterexample(n: int = 2) -> WarpSpec:
         f = np.sqrt(1.0 + x * x)
         return f, x / f, (1.0 + x * x) ** -1.5
 
+    def slope(x):
+        f = np.sqrt(1.0 + x * x)
+        return (x / f) / f  # f'/f as log_triple forms it
+
     # K >= -max(f''/f, (f'/f)^2) = -1, the first factor peaking at x = 0
     c_sq = 1.0
     return WarpSpec(
@@ -73,6 +81,7 @@ def build_counterexample(n: int = 2) -> WarpSpec:
         n=n,
         mode="direct",
         triple=triple,
+        slope=slope,
         period=None,
         growth_bounds=None,
         claims=(),
@@ -90,11 +99,15 @@ def build_constant_curvature(k: float, n: int = 2) -> WarpSpec:
         x = np.asarray(x, dtype=float)
         return _k * x, np.full_like(x, _k), np.zeros_like(x)
 
+    def slope(x, _k=float(k)):
+        return np.full_like(x, _k)
+
     return WarpSpec(
         name=f"constant-curvature(k={k:g})",
         n=n,
         mode="exponential",
         triple=triple,
+        slope=slope,
         period=2.0 * np.pi,
         growth_bounds=(k, 3.0 * k),
         claims=("A", "B", "C"),

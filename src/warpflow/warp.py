@@ -57,6 +57,15 @@ class WarpSpec:
         ``"direct"`` if it returns (f, f', f'').
     triple : callable
         Vectorized evaluator of the warp data, see ``mode``.
+    slope : callable or None
+        Optional unchecked evaluator of g' = f'/f alone, which the unstored
+        geodesic kernel calls at every RK4 stage (:meth:`log_slope`).  It
+        should use the same floating-point operations as the g' of
+        :meth:`log_triple`, so that a run gives the same bits with and
+        without it.  Without it :meth:`log_slope` takes g' from the full
+        triple.  Construction raises :class:`DomainError` when it disagrees
+        with that g' by more than 1e-12 (1 + |g'|) at seven points of
+        :meth:`sample_window`.
     period : float or None
         Period of h(x) = g'' + (g')^2 when it is claimed periodic.
     growth_bounds : (float, float) or None
@@ -74,6 +83,7 @@ class WarpSpec:
     n: int
     mode: str
     triple: TripleFn
+    slope: Optional[Callable[[np.ndarray], np.ndarray]] = None
     period: Optional[float] = None
     growth_bounds: Optional[tuple] = None
     claims: tuple = ()
@@ -85,6 +95,15 @@ class WarpSpec:
             raise DomainError(f"unknown warp mode {self.mode!r}")
         if self.n < 1:
             raise DomainError("torus dimension n must be >= 1")
+        if self.slope is not None:
+            lo, hi = self.sample_window()
+            x = np.linspace(lo, hi, 7)
+            with np.errstate(all="ignore"):
+                gp = self.log_triple(x)[1]
+                given = np.asarray(self.slope(x), dtype=float)
+                ok = np.abs(given - gp) <= 1e-12 * (1.0 + np.abs(gp))
+            if not ok[np.isfinite(gp)].all():
+                raise DomainError(f"slope of warp {self.name!r} disagrees with the g' of its triple")
 
     # -- evaluation -----------------------------------------------------
 
@@ -109,6 +128,12 @@ class WarpSpec:
         unless the caller silences it); callers test finiteness themselves.
         """
         return self._log_form(*self.triple(x))
+
+    def log_slope(self, x):
+        """g' at a float array x, unchecked: ``slope`` when given, else the g' of :meth:`log_triple`."""
+        if self.slope is None:
+            return self.log_triple(x)[1]
+        return self.slope(x)
 
     def _log_form(self, a, b, c):
         """(g, g', g'') from the triple's values (f, f', f'') or (g, g', g'')."""

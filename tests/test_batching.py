@@ -4,8 +4,9 @@ Each batched kernel is run on a batch and on every sample of it alone; the
 per-sample outputs must agree bit for bit.
 """
 import numpy as np
+import pytest
 
-from warpflow import engine
+from warpflow import engine, scenarios
 from warpflow.criterion import _chunk_pipeline, sample_thetas
 
 
@@ -33,6 +34,26 @@ def test_frame_and_curvature_tables_are_per_sample(anosov_spec):
             assert np.array_equal(part[s], part_alone[0])
         assert np.array_equal(batch["max_unit_defect"][s], alone["max_unit_defect"][0])
         assert np.array_equal(batch["final_state"][:, s], alone["final_state"][:, 0])
+
+
+@pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
+def test_stored_and_unstored_runs_agree(name):
+    # a stored run evaluates the full warp triple at every RK4 stage, an
+    # unstored run only the slope; both tabulate the nodes' warp data a block
+    # of nodes at a time (601 nodes: three blocks unstored, one stored).
+    # x0 in [0, 2] keeps the counterexample's g' near its peak, large enough
+    # that a slope one ulp off changes the state's rounding.
+    spec = scenarios.build_scenario(name, n=2)
+    x0, u00, u = _start_arrays(spec, sample_thetas(spec, 8, seed=5, x_span=2.0)[0])
+    state, e = engine.slice_state(x0, u00, u)
+    stored, unstored = (engine.integrate_states(spec, state, e, t0=0.0, t1=6.0, step=0.02, store=store)
+                        for store in (True, False))
+    assert np.array_equal(stored["curvatures"], unstored["curvatures"])
+    assert np.array_equal(stored["final_state"][:3], unstored["final_state"])
+    assert np.array_equal(stored["max_unit_defect"], unstored["max_unit_defect"])
+    # the block evaluation gives the bits of a node-by-node one
+    per_node = np.array([spec.log_triple(x) for x in stored["x"]])
+    assert np.array_equal(np.stack(spec.log_triple(stored["x"]), axis=1), per_node)
 
 
 def test_sweep_renormalization_is_per_sample():

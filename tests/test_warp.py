@@ -75,6 +75,8 @@ def test_rebased_preserves_log_derivatives(counter_spec):
     assert np.allclose(gp0, gp1, atol=1e-12)
     assert np.allclose(gpp0, gpp1, atol=1e-12)
     assert local.f(np.asarray(1.5)) == pytest.approx(1.0, rel=1e-14)
+    assert np.array_equal(local.log_slope(xs), counter_spec.log_slope(xs))
+    assert np.allclose(local.log_slope(xs), gp1, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", list(scenarios.SCENARIOS))
@@ -83,3 +85,30 @@ def test_log_triple_equals_log_derivatives(name):
     xs = np.linspace(-300.0, 300.0, 6001)
     for unchecked, checked in zip(spec.log_triple(xs), spec.log_derivatives(xs)):
         assert np.array_equal(unchecked, checked)
+    assert spec.slope is not None
+    assert np.array_equal(spec.log_slope(xs), spec.log_triple(xs)[1])
+
+
+def test_log_slope_falls_back_to_the_triple():
+    spec = WarpSpec(name="sin", n=1, mode="exponential", triple=triple_from_scalar(np.sin))
+    xs = np.linspace(0.0, 2.0, 21)
+    assert spec.slope is None
+    assert np.array_equal(spec.log_slope(xs), spec.log_triple(xs)[1])
+
+
+def test_slope_must_match_the_triple():
+    def triple(x):
+        return np.sin(x), np.cos(x), -np.sin(x)
+
+    WarpSpec(name="sin", n=1, mode="exponential", triple=triple, slope=np.cos)
+    for wrong in (lambda x: np.cos(x) * (1.0 + 1e-9), lambda x: np.cos(x) + 1e-11, lambda x: np.full_like(x, np.nan)):
+        with pytest.raises(DomainError):
+            WarpSpec(name="sin", n=1, mode="exponential", triple=triple, slope=wrong)
+
+    # f = x vanishes at x = 0 inside the window, where g' = 1/x is not finite
+    def line(x):
+        return x, np.ones_like(x), np.zeros_like(x)
+
+    WarpSpec(name="line", n=1, mode="direct", triple=line, slope=lambda x: 1.0 / x)
+    with pytest.raises(DomainError):
+        WarpSpec(name="line", n=1, mode="direct", triple=line, slope=lambda x: 1.0 / (x + 1e-3))
