@@ -59,13 +59,11 @@ class WarpSpec:
         Vectorized evaluator of the warp data, see ``mode``.
     slope : callable or None
         Optional unchecked evaluator of g' = f'/f alone, which the unstored
-        geodesic kernel calls at every RK4 stage (:meth:`log_slope`).  It
-        should use the same floating-point operations as the g' of
-        :meth:`log_triple`, so that a run gives the same bits with and
-        without it.  Without it :meth:`log_slope` takes g' from the full
-        triple.  Construction raises :class:`DomainError` when it disagrees
-        with that g' by more than 1e-12 (1 + |g'|) at seven points of
-        :meth:`sample_window`.
+        geodesic kernel calls at every RK4 stage (:meth:`log_slope` takes g'
+        from the triple without it).  It should repeat the floating-point
+        operations of the triple's g', so that runs keep their bits; construction
+        raises :class:`DomainError` where the two differ by more than
+        1e-12 (1 + |g'|) at seven points of :meth:`sample_window`.
     period : float or None
         Period of h(x) = g'' + (g')^2 when it is claimed periodic.
     growth_bounds : (float, float) or None

@@ -77,7 +77,6 @@ def test_single_runs_files_and_unmatched_workloads(tmp_path):
     assert set(json.loads((tmp_path / "x.json").read_text())["workloads"]) == {"scan"}
 
 
-
 def test_gain_resolved_needs_ten_pairs_nine_wins_and_a_gap_beyond_the_parent_spread():
     bench_file = _module()
 
