@@ -144,7 +144,7 @@ def averaged_curvature(
     idx0 = green.index_of(0.0)
     times = green.times[idx0:]
     y = green.modes[0][idx0:]
-    k = path.curvatures[[path.fine_index(t) for t in times], : y.shape[-1]]
+    k = path.curvatures[path.fine_indices(times), : y.shape[-1]]
     w, c = np.asarray(w, float), green.path.c
     p = c @ w
     weights = np.array([p, np.linalg.norm(w - p * c)])[: y.shape[-1]]

@@ -17,7 +17,11 @@ steps the slice state, rows (x, u0, s) per sample with s = <u, e>:
 
     x' = u0,   u0' = g' s^2,   s' = -g' u0 s,
 
-and a stored run adds the row Y, Y' = e^{-g} s.  Only outputs rebuild the
+and a stored run adds Y, Y' = e^{-g} s.  Y is cyclic (the torus acts by
+isometries) and never feeds back, so it is not stepped: a block of stored
+nodes gets its Y increments from one vectorised RK4 step of the four-row
+system over the block's node states, summed in node order, which repeats
+the operations of an in-loop Y row bit for bit.  Only outputs rebuild the
 vectors: u = s e, y = y0 + Y e and the fiber momenta p_i = f^2 y_i' = P e_i
 with P = f s, which is evaluated through logs.  All of these stay O(1)
 while f(x) sweeps hundreds of orders of magnitude.
@@ -37,16 +41,15 @@ march (:func:`scalar_march`) serves two-point and initial-value solves, and
 n x n matrices are assembled only by callers that return them
 (:func:`split_matrix`).  At n = 1, I - c c^T = 0 and only mode 1 exists.
 
-Finiteness.  The kernel evaluates the warp unchecked.  An unstored run
-reads only g' at its RK4 stages (:meth:`WarpSpec.log_slope`); a stored run
-needs g for Y' and evaluates the full triple (:meth:`WarpSpec.log_triple`)
-at every stage.  Both evaluate (g, g', g'') of the tabulated nodes once per
-block of at most ``_BLOCK_NODES`` nodes (a stored run is one block), and
-that one array feeds the curvature table, the momentum defect and the
-finiteness test: a non-finite x or (g, g', g'') raises
-:class:`DomainError`.  A direct warp reaching f <= 0 is caught there, as
-log f is -inf or NaN.  Only the start state goes through the checked
-:meth:`WarpSpec.log_derivatives`, so a bad x0 fails at once.
+Finiteness.  The kernel evaluates the warp unchecked.  A run, stored or
+not, reads only g' at its RK4 stages (:meth:`WarpSpec.log_slope`) and
+evaluates (g, g', g'') of the tabulated nodes (:meth:`WarpSpec.log_triple`)
+once per block of at most ``_BLOCK_NODES`` nodes; that one array feeds the
+curvature table, the momentum defect and the finiteness test: a non-finite
+x or (g, g', g'') raises :class:`DomainError`.  A direct warp reaching
+f <= 0 is caught there, as log f is -inf or NaN.  Only the start state goes
+through the checked :meth:`WarpSpec.log_derivatives`, so a bad x0 fails at
+once.
 """
 from __future__ import annotations
 
@@ -60,7 +63,7 @@ _RENORM_THRESHOLD = 1e6
 # below this, the slice speed s sits in (or neighbors) the subnormal range
 # where its relative precision is gone; momentum diagnostics stop
 _MOMENTUM_FLOOR = 1e-300
-# nodes per block of an unstored run (see integrate_states), steps per
+# nodes per block of a kernel run (see integrate_states), steps per
 # block of transfer matrices in a sweep (see boundary_solve)
 _BLOCK_NODES = 256
 
@@ -176,19 +179,19 @@ def integrate_states(
     t1 (possibly decreasing).  With ``with_curvatures`` it holds the table
     ``curvatures`` (J, m, 2) of (k1, k2) per node, which needs no frame (a
     frame's coefficients come from :func:`start_frame`).  With ``store`` the
-    run carries Y (from 0 if ``state`` has no Y row) and the dict holds every
-    series x, u0, s, Y, the fiber momentum p = f s and the unit-speed defect;
-    without it only the maximum defects are kept.  ``final_state`` is the
-    carried state at t1.  Raises :class:`IntegratorDrift` when a
+    dict holds every series x, u0, s, Y (from 0 if ``state`` has no Y row),
+    the fiber momentum p = f s and the unit-speed defect; without it only
+    the maximum defects are kept.  ``final_state`` is the state at t1, with
+    the Y row when stored.  Raises :class:`IntegratorDrift` when a
     conservation defect exceeds ``drift_tol``, and :class:`DomainError` when
     a block of nodes holds a non-finite x or warp value (module docstring).
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    S = np.array(state, dtype=float)[: 4 if store else 3]
+    S = np.array(state, dtype=float)
     m = S.shape[1]
-    if store and len(S) == 3:
-        S = np.vstack([S, np.zeros(m)])  # Y = 0 at t0
+    Y_carry = S[3] if store and len(S) == 4 else np.zeros(m)  # Y at the next node to flush
+    S = S[:3]
     e_max = np.abs(e).max(axis=-1)
 
     span = t1 - t0
@@ -203,24 +206,42 @@ def integrate_states(
     if with_curvatures:
         out["curvatures"] = np.empty((J, m, 2))
     # The loop tabulates each node's state; the warp data, curvature
-    # coefficients and conservation defects are then evaluated a block of
-    # nodes at a time.  A stored run is one block, so its table is the output.
-    block = J if store else min(J, _BLOCK_NODES)
-    states = np.empty((len(S), block, m))
+    # coefficients, conservation defects and Y are then evaluated a block of
+    # nodes at a time.  A stored run tabulates into its output.
+    block = min(J, _BLOCK_NODES)
+    states = np.empty((3, J if store else block, m))
     if store:
-        out.update(zip(("x", "u0", "s", "Y"), states))
-        out["p"] = np.empty((J, m))
-        out["unit_defect"] = np.empty((J, m))
+        out.update(zip(("x", "u0", "s"), states))
+        for key in ("Y", "p", "unit_defect"):
+            out[key] = np.empty((J, m))
 
     p_init = _fiber_momentum(spec.log_derivatives(S[0])[0], S[2])
     max_unit = np.zeros(m)
     max_mom = np.zeros(m)
     alive = np.ones((m,), dtype=bool)
 
+    def rhs(_stage, S):
+        gp = spec.log_slope(S[0])
+        u0s, s = S[1], S[2]
+        dS = np.empty_like(S)
+        dS[0] = u0s
+        dS[1] = gp * (s * s)
+        dS[2] = -(gp * u0s) * s
+        return dS
+
+    def fiber_rhs(stage, S):
+        """``rhs`` with the row Y' = e^{-g} s: Y is cyclic, so it never feeds back."""
+        dS = np.empty_like(S)
+        dS[:3] = rhs(stage, S[:3])
+        s = S[2]
+        dS[3] = np.where(s == 0.0, 0.0, np.exp(-spec.log_triple(S[0])[0]) * s)
+        return dS
+
     def flush(j0, count):
-        """Curvature coefficients and defects of the ``count`` tabulated nodes from node j0 on."""
-        nonlocal max_unit, max_mom, alive
-        x, u0s, s = states[:3, :count]
+        """Curvature coefficients, defects and Y of the ``count`` tabulated nodes from node j0 on."""
+        nonlocal max_unit, max_mom, alive, Y_carry
+        table = states[:, j0 : j0 + count] if store else states[:, :count]
+        x, u0s, s = table
         g, gp, gpp = spec.log_triple(x)
         if not all(np.isfinite(v).all() for v in (x, g, gp, gpp)):
             times = out["times_fine"][[j0, j0 + count - 1]]
@@ -243,26 +264,22 @@ def integrate_states(
         if store:
             out["p"][nodes] = p
             out["unit_defect"][nodes] = unit
-
-    def rhs(_stage, S):
-        u0s, s = S[1], S[2]
-        dS = np.empty_like(S)
-        if store:
-            g, gp, _ = spec.log_triple(S[0])
-            dS[3] = np.where(s == 0.0, 0.0, np.exp(-g) * s)
-        else:
-            gp = spec.log_slope(S[0])
-        dS[0] = u0s
-        dS[1] = gp * (s * s)
-        dS[2] = -(gp * u0s) * s
-        return dS
+            # Y's RK4 increments over the steps out of these nodes (the last
+            # node of the run has none), rebuilt from the node states with
+            # the loop's arithmetic and summed in the loop's order
+            steps = count if j0 + count < J else count - 1
+            start = np.concatenate([table[:, :steps], np.zeros((1, steps, m))])
+            increments = _rk4_step(fiber_rhs, start, hf)[3]
+            Y = np.add.accumulate(np.concatenate([Y_carry[None], increments]))
+            out["Y"][nodes] = Y[:count]
+            Y_carry = Y[-1]
 
     # The warp is evaluated unchecked; flush tests each block for
     # non-finite values instead, so numpy's warnings are silenced here.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(J):
             i = j % block
-            states[:, i] = S
+            states[:, j if store else i] = S
             if i == block - 1 or j == J - 1:
                 flush(j - i, i + 1)
             if j < J - 1:
@@ -270,7 +287,7 @@ def integrate_states(
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom
-    out["final_state"] = S
+    out["final_state"] = np.vstack([S, Y_carry]) if store else S
     if drift_tol is not None:
         worst_unit = float(np.max(max_unit))
         worst_mom = float(np.max(max_mom))

@@ -153,9 +153,19 @@ class GeodesicPath:
         return float(self.times_fine[-1])
 
     def fine_index(self, t: float) -> int:
-        j = int(round((t - self.times_fine[0]) / (self.step / 2.0)))
-        if j < 0 or j >= len(self.times_fine) or abs(self.times_fine[j] - t) > 1e-9 * max(1.0, abs(t)):
-            raise DomainError(f"time {t} is not on the path grid")
+        return int(self.fine_indices([t])[0])
+
+    def fine_indices(self, times) -> np.ndarray:
+        """Fine-grid indices of an array of times; raises :class:`DomainError` for a time off the grid."""
+        times = np.asarray(times, dtype=float)
+        grid = self.times_fine
+        with np.errstate(invalid="ignore"):
+            j = np.rint((times - grid[0]) / (self.step / 2.0))
+            inside = (j >= 0) & (j < len(grid))
+            j = np.where(inside, j, 0).astype(int)
+            on = inside & (np.abs(grid[j] - times) <= 1e-9 * np.maximum(1.0, np.abs(times)))
+        if not on.all():
+            raise DomainError(f"time {times[~on][0]} is not on the path grid")
         return j
 
     def coarse_index(self, t: float) -> int:

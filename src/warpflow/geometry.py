@@ -158,7 +158,16 @@ def curvature_tensor(spec: WarpSpec, p, A: TangentVector, B: TangentVector, C: T
 
 
 def sectional_curvature(spec: WarpSpec, p, u: TangentVector, w: TangentVector) -> float:
-    """Sectional curvature of the plane spanned by u and w at p."""
+    """Sectional curvature of the plane spanned by u and w at p.
+
+    The curvature operator is diagonal on the bivectors d_x ^ e_i (eigenvalue
+    -h) and e_i ^ e_j (eigenvalue -g'^2), so with the wedge minors
+    m_i = u0 w_i - w0 u_i and M_ij = u_i w_j - u_j w_i
+
+        K = -(h sum m_i^2 + g'^2 sum M_ij^2) / (sum m_i^2 + sum M_ij^2),
+
+    a convex combination of -h and -g'^2 also for nearly parallel u and w.
+    """
     x0 = _check_based(p, u, w)
     g, gp, gpp = (float(v) for v in spec.log_derivatives(np.asarray(x0, float)))
     h = gpp + gp * gp
@@ -170,11 +179,12 @@ def sectional_curvature(spec: WarpSpec, p, u: TangentVector, w: TangentVector) -
         raise DegeneratePlane("zero spanning vector")
     u0, uf = u0 / nu, uf / nu
     w0, wf = w0 / nw, wf / nw
-    gram = 1.0 - (u0 * w0 + np.dot(uf, wf)) ** 2
+    mixed = np.sum((u0 * wf - w0 * uf) ** 2)
+    fiber = 0.5 * np.sum((uf[:, None] * wf[None, :] - uf[None, :] * wf[:, None]) ** 2)
+    gram = mixed + fiber  # |u ^ w|^2 = 1 - <u, w>^2
     if gram <= 1e-12:
         raise DegeneratePlane("spanning vectors are (numerically) parallel")
-    val = frame_curvature_form(h, gp * gp, u0, uf, w0, wf, u0, uf, w0, wf)
-    return float(val / gram)
+    return float(-(h * mixed + gp * gp * fiber) / gram)
 
 
 def sectional_curvature_frame(h, gp2, u0, u, w0, w):

@@ -94,7 +94,7 @@ class MatrixJacobiSolution:
     def residual_defect(self) -> float:
         """Scale-free residual of Y'' + K Y via a fourth-order difference stencil."""
         h = self.path.step
-        K = np.stack([self.path.K[self.path.fine_index(t)] for t in self.times])
+        K = self.path.K[self.path.fine_indices(self.times)]
         Y = self.Y
         if len(self.times) < 5:
             raise DomainError("need at least 5 grid nodes for the residual check")
@@ -414,7 +414,7 @@ def riccati_along(solution: MatrixJacobiSolution, w, t_max: Optional[float] = No
         raise VanishingJacobiField("Jacobi field norm below 1e-12 on the requested window")
     z = 2.0 * np.einsum("ci,ci->c", J, Jp) / (norms * norms)
 
-    fines = np.array([path.fine_index(t) for t in times])
+    fines = path.fine_indices(times)
     g, gp, gpp = path.spec.log_derivatives(path.x[fines])
     hcurv = gpp + gp * gp
     u0 = path.u0[fines]

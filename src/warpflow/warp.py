@@ -58,9 +58,9 @@ class WarpSpec:
     triple : callable
         Vectorized evaluator of the warp data, see ``mode``.
     slope : callable or None
-        Optional unchecked evaluator of g' = f'/f alone, which the unstored
-        geodesic kernel calls at every RK4 stage (:meth:`log_slope` takes g'
-        from the triple without it).  It should repeat the floating-point
+        Optional unchecked evaluator of g' = f'/f alone, which the geodesic
+        kernel calls at every RK4 stage of stored and unstored runs
+        (:meth:`log_slope` takes g' from the triple without it).  It should repeat the floating-point
         operations of the triple's g', so that runs keep their bits; construction
         raises :class:`DomainError` where the two differ by more than
         1e-12 (1 + |g'|) at seven points of :meth:`sample_window`.

@@ -16,6 +16,8 @@ from warpflow.geodesics import (
 )
 from warpflow.warp import WarpSpec
 
+import kernel_oracle
+
 
 def _flat_warp(n=2):
     def triple(x):
@@ -139,6 +141,30 @@ class TestFiberPosition:
         assert spreads[0] / spreads[1] >= 8.0
 
 
+class TestStoredRunOracle:
+    """Stored runs step (x, u0, s) alone and add Y by block quadrature, with the bits of the in-loop Y row."""
+
+    KEYS = ("x", "u0", "s", "Y", "p", "unit_defect", "curvatures", "final_state")
+
+    @pytest.mark.parametrize("warp", ["anosov_spec", "counter_spec", "const_spec"])
+    # 601 fine nodes carry Y across two block boundaries; 257 leave one node to the last block
+    @pytest.mark.parametrize("t1", [3.0, -3.0, -1.28])
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_bits_equal_in_loop_y(self, warp, t1, resumed, request):
+        spec = request.getfixturevalue(warp)
+        state, e = engine.slice_state(
+            np.array([0.4, -1.3, 2.2]), np.array([0.6, -0.9, 0.0]),
+            np.array([[0.8, 0.0], [0.3, -0.3], [-0.6, 0.8]]),
+        )
+        if resumed:
+            state = np.vstack([state, [0.3, -1.2, 2.5]])
+        run = engine.integrate_states(spec, state, e, t0=0.5, t1=0.5 + t1, step=0.01)
+        assert len(run["times_fine"]) > engine._BLOCK_NODES
+        ref = kernel_oracle.stored_run(spec, state, t0=0.5, t1=0.5 + t1, step=0.01)
+        for key in self.KEYS:
+            assert np.array_equal(run[key], ref[key]), key
+
+
 class TestScalarVelocity:
     def test_fixed_point(self, anosov_spec):
         assert scalar_velocity(anosov_spec, 1.0, 7.0) == 1.0
@@ -258,10 +284,11 @@ class TestWarpDomain:
 
     @pytest.mark.parametrize("store", [True, False])
     def test_axis_geodesic_through_zero_of_f_raises(self, store):
-        # x = t along the axis, so f = 1 - x/4 vanishes at t = 4 and is negative after
+        # x = t along the axis, so f = 1 - x/4 vanishes at t = 4 and is negative after;
+        # stored or not, the run stops in the block of 256 nodes that reaches it
         spec = self._linear_direct_warp()
         state, e = engine.slice_state(np.array([0.0]), np.array([1.0]), np.array([[0.0, 0.0]]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"between t = 3\.84 and 5\.115"):
             engine.integrate_states(spec, state, e, t0=0.0, t1=10.0, step=0.01, store=store)
 
     def test_scalar_series_non_finite_start_raises(self, anosov_spec):

@@ -59,6 +59,47 @@ ROUTE_DATA = {
 }
 
 
+def _pole_limit_errors(spec, green, b0):
+    """Largest relative errors of a limit on an axis geodesic of the periodic warp (a = 3), at steps 0.02 and 0.01.
+
+    At b0 = +-1 both modes solve y'' = h(x) y with x = x0 + b0 t, which f
+    solves too (f'' = h f).  Where the limit's vanishing end lies at
+    x -> -inf (b0 = -1 for ``green_stable``, b0 = 1 for ``green_unstable``)
+    f(x)/f(x0) is the bounded solution; at x -> +inf reduction of order gives
+    f(x) I(x)/(f(x0) I(x0)) with I(x) = int_x^inf f^-2, and f(x + T) =
+    e^{aT} f(x) turns the tail into a geometric series, I(x) =
+    int_x^{x+T} f^-2 / (1 - e^{-2aT}).  RK4's fourth order shows as an error
+    ratio near 16 between the two steps.  One pair of errors per x0 in
+    (0.2, 1.7, 4.0).
+    """
+    a, T = 3.0, 2.0 * np.pi
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    toward_minus_inf = b0 < 0 if green is green_stable else b0 > 0
+
+    def g(x):
+        return a * x - np.cos(x) + np.sin(x)
+
+    def f_times_I(x):
+        z = x[:, None] + 0.5 * T * (nodes + 1.0)
+        quad = 0.5 * T * (weights * np.exp(g(x)[:, None] - 2.0 * g(z))).sum(axis=1)
+        return quad / (1.0 - np.exp(-2.0 * a * T))
+
+    out = []
+    for x0 in (0.2, 1.7, 4.0):
+        errors = []
+        for step in (0.02, 0.01):
+            th = unit_tangent_from_direction(spec, x0, np.zeros(2), b0, [0.0, 0.0])
+            sol = green(integrate_geodesic(spec, th, 8.0, step), t_obs=8.0, tol=1e-12)
+            x = x0 + b0 * sol.times
+            if toward_minus_inf:
+                exact = np.exp(g(x) - g(x0))
+            else:
+                exact = f_times_I(x) / f_times_I(np.array([x0]))
+            errors.append(np.max(np.abs(sol.modes[0] / exact[:, None] - 1.0)))
+        out.append(errors)
+    return out
+
+
 class TestSasakiVector:
     def test_norm_is_euclidean_on_components(self):
         v = SasakiVector(J=[3.0, 0.0], Jp=[0.0, 4.0])
@@ -213,37 +254,8 @@ class TestGreenStable:
 
     @pytest.mark.parametrize("b0", [-1.0, 1.0])
     def test_pole_limits_closed_form(self, anosov_spec, b0):
-        """Stable limits on the axis geodesics of the periodic warp, against closed forms.
-
-        At b0 = +-1 both modes solve y'' = h(x) y with x = x0 + b0 t, which f
-        solves too (f'' = h f).  For b0 = -1, f(x0 - t)/f(x0) is the bounded
-        solution.  For b0 = 1 reduction of order gives f(x) I(x)/(f(x0) I(x0))
-        with I(x) = int_x^inf f^-2; f(x + T) = e^{aT} f(x) turns the tail into
-        a geometric series, I(x) = int_x^{x+T} f^-2 / (1 - e^{-2aT}).  RK4's
-        fourth order shows as an error ratio near 16 between steps 0.02 and 0.01.
-        """
-        a, T = 3.0, 2.0 * np.pi
-        nodes, weights = np.polynomial.legendre.leggauss(96)
-
-        def g(x):
-            return a * x - np.cos(x) + np.sin(x)
-
-        def f_times_I(x):
-            z = x[:, None] + 0.5 * T * (nodes + 1.0)
-            quad = 0.5 * T * (weights * np.exp(g(x)[:, None] - 2.0 * g(z))).sum(axis=1)
-            return quad / (1.0 - np.exp(-2.0 * a * T))
-
-        for x0 in (0.2, 1.7, 4.0):
-            errors = []
-            for step in (0.02, 0.01):
-                th = unit_tangent_from_direction(anosov_spec, x0, np.zeros(2), b0, [0.0, 0.0])
-                sol = green_stable(integrate_geodesic(anosov_spec, th, 8.0, step), t_obs=8.0, tol=1e-12)
-                t = sol.times
-                if b0 < 0:
-                    exact = np.exp(g(x0 - t) - g(x0))
-                else:
-                    exact = f_times_I(x0 + t) / f_times_I(np.array([x0]))
-                errors.append(np.max(np.abs(sol.modes[0] / exact[:, None] - 1.0)))
+        """Stable limits on the axis geodesics of the periodic warp, against closed forms (``_pole_limit_errors``)."""
+        for errors in _pole_limit_errors(anosov_spec, green_stable, b0):
             assert errors[0] < 1e-5
             assert errors[0] / errors[1] >= 12.0
 
@@ -287,6 +299,14 @@ class TestGreenUnstable:
         sol = green_unstable(path, t_obs=6.0, tol=1e-8, drift_tol=1e-6)
         for w in (np.array([1.0, 0.0]), np.array([0.2, 0.98])):
             assert np.all(np.diff(sol.field_norms(w)) >= -1e-9)
+
+
+    @pytest.mark.parametrize("b0", [-1.0, 1.0])
+    def test_pole_limits_closed_form(self, anosov_spec, b0):
+        """Unstable limits on the axis geodesics of the periodic warp, against closed forms (``_pole_limit_errors``)."""
+        for errors in _pole_limit_errors(anosov_spec, green_unstable, b0):
+            assert errors[0] < 1e-5
+            assert errors[0] / errors[1] >= 12.0
 
 
 class TestRiccati:
