@@ -77,6 +77,16 @@ class TestIntegrateGeodesic:
         xpp = (path.x[2] - 2.0 * path.x[1] + path.x[0]) / (h * h)
         assert xpp == pytest.approx(1.0, abs=1e-6)
 
+    def test_fine_indices_of_grid_times(self, anosov_spec):
+        th = unit_tangent_from_direction(anosov_spec, 0.3, np.zeros(2), 0.2, [0.5, 0.84])
+        path = extend_path(integrate_geodesic(anosov_spec, th, 2.0, 0.01), -1.0, 2.0)
+        times = path.times_fine[::3]
+        assert np.array_equal(path.fine_indices(times), np.arange(0, len(path.times_fine), 3))
+        assert path.fine_index(0.0) == path.t0_index
+        for bad in ([0.0, 0.003], [2.005], [-1.005, 0.0], [np.nan]):
+            with pytest.raises(DomainError, match="not on the path grid"):
+                path.fine_indices(bad)
+
     def test_momentum_and_unit_speed_defects(self, anosov_spec):
         th = unit_tangent_from_direction(anosov_spec, 0.3, np.zeros(2), 0.2, [0.5, 0.84])
         path = integrate_geodesic(anosov_spec, th, 20.0, 1e-3)
