@@ -53,6 +53,8 @@ once.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, IntegratorDrift
@@ -145,17 +147,24 @@ def _momentum_defect(p, s, p0, e_max):
     return e_max * np.abs(p - p0) / np.maximum(1.0, e_max * np.abs(p0)), dead
 
 
+@functools.lru_cache(maxsize=64)
+def _rk4_weights(h: float) -> tuple:
+    """0.5 h, h, h/6 and 2 as 0-d arrays, which numpy multiplies into an array faster than floats."""
+    return tuple(np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
+
+
 def _rk4_step(rhs, y, h):
     """One classic RK4 step of y' = rhs(stage, y) over a step h.
 
     ``stage`` counts half steps into the step (0, 1, 1, 2), for right-hand
     sides that read coefficients tabulated on a half-step grid.
     """
+    half, full, sixth, two = _rk4_weights(h)
     k1 = rhs(0, y)
-    k2 = rhs(1, y + 0.5 * h * k1)
-    k3 = rhs(1, y + 0.5 * h * k2)
-    k4 = rhs(2, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(1, y + half * k1)
+    k3 = rhs(1, y + half * k2)
+    k4 = rhs(2, y + full * k3)
+    return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
 def integrate_states(
@@ -220,8 +229,11 @@ def integrate_states(
     max_mom = np.zeros(m)
     alive = np.ones((m,), dtype=bool)
 
+    # WarpSpec.log_slope without its dispatch, which would run at every stage
+    log_slope = spec.log_slope if spec.slope is None else spec.slope
+
     def rhs(_stage, S):
-        gp = spec.log_slope(S[0])
+        gp = log_slope(S[0])
         u0s, s = S[1], S[2]
         dS = np.empty_like(S)
         dS[0] = u0s

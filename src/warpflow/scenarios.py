@@ -32,7 +32,8 @@ def build_anosov_example(a: float, n: int = 2) -> WarpSpec:
         s, c = np.sin(x), np.cos(x)
         return _a * x - c + s, _a + s + c, c - s
 
-    def slope(x, _a=float(a)):
+    # a as a 0-d array, which numpy adds to an array faster than a float
+    def slope(x, _a=np.array(float(a))):
         return _a + np.sin(x) + np.cos(x)
 
     xs = np.linspace(0.0, 2.0 * np.pi, 10_000, endpoint=False)

@@ -60,10 +60,11 @@ class WarpSpec:
     slope : callable or None
         Optional unchecked evaluator of g' = f'/f alone, which the geodesic
         kernel calls at every RK4 stage of stored and unstored runs
-        (:meth:`log_slope` takes g' from the triple without it).  It should repeat the floating-point
-        operations of the triple's g', so that runs keep their bits; construction
-        raises :class:`DomainError` where the two differ by more than
-        1e-12 (1 + |g'|) at seven points of :meth:`sample_window`.
+        (:meth:`log_slope` takes g' from the triple without it).  It should
+        repeat the floating-point operations of the triple's g', so that runs
+        keep their bits; construction raises :class:`DomainError` where the
+        two differ by more than 1e-12 (1 + |g'|) at seven points of
+        :meth:`sample_window`.
     period : float or None
         Period of h(x) = g'' + (g')^2 when it is claimed periodic.
     growth_bounds : (float, float) or None
