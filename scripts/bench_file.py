@@ -9,12 +9,15 @@ and metric the BENCH file holds, for each side, the run count, the median
 and the quartiles of the per-run values (each already a median over the
 run's operations) and the values by seed; then the ratio of the change's
 median to the parent's, how many seeds both sides ran and in how many of
-those the change's value is lower, the parent's interquartile range, and
+those the change's value is lower, the parent's interquartile range, the
+median and interquartile range of the per-seed ratios change/parent, and
 ``gain_resolved``: at least ten paired seeds, the change lower in at least
-nine of every ten, and its median below the parent's by more than that
-range.  It also holds the machine block fields that every run agrees on,
-each side's commits and its failed operations.  The file goes to
-``BENCH_<N>.json`` in the current directory unless ``--out`` names another.
+nine of every ten, and 1 - median ratio above the ratios' interquartile
+range.  A ratio of one seed's two runs cancels the spread between seeds
+(their inputs differ), so what remains to beat is run-to-run noise.  It
+also holds the machine block fields that every run agrees on, each side's
+commits and its failed operations.  The file goes to ``BENCH_<N>.json`` in
+the current directory unless ``--out`` names another.
 Two result files of one side with the same workload and seed (say a traced
 and an untraced run) are an error: exit status 2.
 """
@@ -38,9 +41,13 @@ def _load(paths) -> list:
     return [json.loads(path.read_text(encoding="utf-8")) for path in _result_files(paths)]
 
 
+def _quartiles(values: list) -> list:
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def _summary(by_seed: dict) -> dict:
     values = [by_seed[seed] for seed in sorted(by_seed)]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, median, q3 = _quartiles(values)
     return {"runs": len(values), "median": median, "q1": q1, "q3": q3,
             "by_seed": {str(seed): by_seed[seed] for seed in sorted(by_seed)}}
 
@@ -84,15 +91,19 @@ def bench(pr: int, parent: list, change: list) -> dict:
             a, b = _summary(old), _summary(new)
             paired = sorted(set(old) & set(new))
             lower = sum(new[seed] < old[seed] for seed in paired)
-            iqr = a["q3"] - a["q1"]
+            ratios = [new[seed] / old[seed] for seed in paired if old[seed]]
+            r1, ratio, r3 = _quartiles(ratios) if ratios else (None, None, None)
+            spread = r3 - r1 if ratios else None
             metrics[name] = {
                 "unit": unit, "parent": a, "change": b,
                 "change_over_parent": b["median"] / a["median"] if a["median"] else None,
                 "paired_seeds": len(paired),
                 "change_lower_in": lower,
-                "parent_iqr": iqr,
-                "gain_resolved": len(paired) >= 10 and 10 * lower >= 9 * len(paired)
-                and a["median"] - b["median"] > iqr,
+                "parent_iqr": a["q3"] - a["q1"],
+                "ratio_median": ratio,
+                "ratio_iqr": spread,
+                "gain_resolved": len(ratios) >= 10 and 10 * lower >= 9 * len(paired)
+                and 1.0 - ratio > spread,
             }
         workloads[workload] = metrics
     return {"pr": pr, "machine": machine, **sides, "workloads": workloads}

@@ -22,12 +22,10 @@ from .geometry import (
 )
 from .geodesics import (
     GeodesicPath,
-    ParallelFrame,
     UnitTangent,
     flip,
     integrate_geodesic,
     integrate_window,
-    parallel_frame,
     scalar_velocity,
     scalar_velocity_series,
     unit_tangent,

@@ -108,22 +108,14 @@ def start_frame(u0, u):
     return e, c, w
 
 
-def slice_frame(frame, u0, s):
-    """Frame fields (alpha, beta) at slice states (u0, s) with leading axes (..., m), from (e, c, w)."""
-    e, c, w = frame
-    alpha = -c * s[..., None]
-    beta = w + c[:, :, None] * (u0[..., None, None] * e[:, None, :])
-    return alpha, beta
-
-
 def split_matrix(pairs, c):
-    """a1 c c^T + a2 (I - c c^T) from pairs (a1, a2) (..., m, M) and c (m, n).
+    """a1 c c^T + a2 (I - c c^T) from pairs (a1, a2) (..., m, M) and c (m, n), or (..., M) and c (n,).
 
     Curvature matrices from (k1, k2), Jacobi data from their modes.  With
     one mode (M = 1, n = 1) the result is a1.
     """
     a1, a2 = pairs[..., 0], pairs[..., -1]
-    cc = c[:, :, None] * c[:, None, :]
+    cc = c[..., :, None] * c[..., None, :]
     return a2[..., None, None] * np.eye(c.shape[-1]) + (a1 - a2)[..., None, None] * cc
 
 

@@ -9,12 +9,14 @@ with the unit-speed first integral x'^2 + f^2 sum y_i'^2 = 1 and the
 conserved fiber momenta p_i = f^2 y_i'.  In the orthonormal-basis variables
 (u0, u) = (x', f y') the fiber direction e = u/|u| is constant, so
 integration carries only the slice state (x, u0, s) with u = s e (and the
-fiber displacement Y with y = y0 + Y e); the parallel frame and the
-curvature matrices are built in closed form from it, see ``engine``.
+fiber displacement Y with y = y0 + Y e) and the curvature table (k1, k2) of
+the two Jacobi modes.  A path stores just these; the parallel frame and the
+curvature matrices are built in closed form from them on access, see
+``engine``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from . import engine
@@ -84,7 +86,7 @@ def flip(theta: UnitTangent) -> UnitTangent:
 
 @dataclass
 class GeodesicPath:
-    """A time-sampled geodesic with parallel frame and curvature matrices.
+    """A time-sampled geodesic: its slice series and the curvature table of its frame.
 
     Data lives on the fine grid (half the requested step); ``times`` exposes
     the coarse, user-facing grid.  x, u0, s, Y are the slice state of
@@ -92,8 +94,11 @@ class GeodesicPath:
     vectors y = y0 + Y e, u = s e and the momenta p e are rebuilt on access.
     The parallel frame rows are V_i = (alpha_i, beta_i) in the orthonormal
     basis, with the constant coefficients ``frame`` = (e, c, w) of
-    V_i = c_i E1 + (0, w_i).  ``curvatures`` holds (k1, k2) per node, so
-    K = k2 I + (k1 - k2) c c^T (see ``engine``).
+    V_i = c_i E1 + (0, w_i) and E1 = (-s, u0 e).  ``curvatures`` holds
+    (k1, k2) per node, so K = k2 I + (k1 - k2) c c^T (see ``engine``).
+    ``alpha``, ``beta`` and ``K`` are computed on each access, O(J n^2);
+    :meth:`frame_fields` and :meth:`curvature_matrices` build them at chosen
+    nodes only.
     """
 
     spec: WarpSpec
@@ -105,16 +110,12 @@ class GeodesicPath:
     s: np.ndarray
     Y: np.ndarray
     p: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    K: np.ndarray
     curvatures: np.ndarray
     frame: tuple
     unit_defect: np.ndarray
     max_unit_defect: float
     max_momentum_defect: float
     t0_index: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -127,6 +128,18 @@ class GeodesicPath:
     @property
     def c(self) -> np.ndarray:
         return self.frame[1]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.frame_fields()[0]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.frame_fields()[1]
+
+    @property
+    def K(self) -> np.ndarray:
+        return self.curvature_matrices()
 
     @property
     def y(self) -> np.ndarray:
@@ -183,9 +196,17 @@ class GeodesicPath:
         """The kernel state (4, 1) with rows (x, u0, s, Y) at fine node j."""
         return np.array([[self.x[j]], [self.u0[j]], [self.s[j]], [self.Y[j]]])
 
+    def frame_fields(self, j=slice(None)) -> tuple:
+        """The frame rows (alpha, beta) at fine nodes j (default: all): alpha = -c s, beta = w + c (u0 e)."""
+        e, c, w = self.frame
+        return -c * self.s[j][..., None], w + c[:, None] * (self.u0[j][..., None, None] * e)
+
+    def curvature_matrices(self, j=slice(None)) -> np.ndarray:
+        """The curvature matrices K = k2 I + (k1 - k2) c c^T at fine nodes j (default: all)."""
+        return engine.split_matrix(self.curvatures[j], self.c)
+
     def frame_at(self, t: float) -> tuple:
-        j = self.fine_index(t)
-        return self.alpha[j], self.beta[j]
+        return self.frame_fields(self.fine_index(t))
 
     def momentum_defect_series(self) -> np.ndarray:
         e_max = np.abs(self.e).max()
@@ -193,14 +214,11 @@ class GeodesicPath:
 
 
 # the fine-grid series of a GeodesicPath
-_SERIES = ("times_fine", "x", "u0", "s", "Y", "p", "alpha", "beta", "K", "curvatures", "unit_defect")
+_SERIES = ("times_fine", "x", "u0", "s", "Y", "p", "curvatures", "unit_defect")
 
 
-def _squeeze_run(run: dict, frame: tuple, reverse: bool) -> dict:
-    """The series of a stored single-sample run in time order, with the frame (e, c, w) and K assembled."""
-    frame = tuple(part[None] for part in frame)
-    alpha, beta = engine.slice_frame(frame, run["u0"], run["s"])
-    run = {**run, "alpha": alpha, "beta": beta, "K": engine.split_matrix(run["curvatures"], frame[1])}
+def _squeeze_run(run: dict, reverse: bool) -> dict:
+    """The series of a stored single-sample run, in time order."""
     sl = slice(None, None, -1) if reverse else slice(None)
     view = {key: run[key][sl, 0].copy() for key in _SERIES[1:]}
     view["times_fine"] = run["times_fine"][sl].copy()
@@ -231,7 +249,7 @@ def integrate_geodesic(
         spec=spec,
         theta0=theta0,
         step=step,
-        **_squeeze_run(run, frame, reverse),
+        **_squeeze_run(run, reverse),
         frame=frame,
         max_unit_defect=float(run["max_unit_defect"][0]),
         max_momentum_defect=float(run["max_momentum_defect"][0]),
@@ -264,7 +282,7 @@ def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> Geodesic
         defect, dead = engine._momentum_defect(run["p"][:, 0], run["s"][:, 0], p0, e_max)
         alive = np.logical_and.accumulate(~dead)
         max_mom = max(max_mom, float(np.max(np.where(alive, defect, 0.0))))
-        view = _squeeze_run(run, path.frame, reverse=j == 0)
+        view = _squeeze_run(run, reverse=j == 0)
         if j == 0:
             pieces.insert(0, {key: v[:-1] for key, v in view.items()})
             t0_index += len(view["times_fine"]) - 1
@@ -279,7 +297,6 @@ def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> Geodesic
         max_unit_defect=max_unit,
         max_momentum_defect=max_mom,
         t0_index=t0_index,
-        meta=dict(path.meta),
     )
 
 
@@ -319,30 +336,6 @@ def extend_path(path: GeodesicPath, t_lo: float, t_hi: float) -> GeodesicPath:
     if t_lo >= path.t_lo - 1e-12 and t_hi <= path.t_hi + 1e-12:
         return path
     return _resume(path, t_lo, t_hi, None)
-
-
-@dataclass(frozen=True)
-class ParallelFrame:
-    """Frame fields of a path, with orthonormality diagnostics."""
-
-    times_fine: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def inner_products(self, j: int) -> np.ndarray:
-        vecs = np.concatenate([self.alpha[j][:, None], self.beta[j]], axis=1)
-        return vecs @ vecs.T
-
-    def max_orthonormality_defect(self) -> float:
-        vecs = np.concatenate([self.alpha[:, :, None], self.beta], axis=2)
-        gram = np.einsum("jid,jkd->jik", vecs, vecs)
-        gram -= np.eye(vecs.shape[1])
-        return float(np.max(np.abs(gram)))
-
-
-def parallel_frame(path: GeodesicPath) -> ParallelFrame:
-    """The parallel perpendicular frame transported along the path."""
-    return ParallelFrame(times_fine=path.times_fine, alpha=path.alpha, beta=path.beta)
 
 
 def scalar_velocity_series(

@@ -117,22 +117,6 @@ def _to_frame(spec: WarpSpec, v: TangentVector) -> tuple:
     return float(v.dx), np.exp(float(g)) * v.dy
 
 
-def frame_curvature_form(h, gp2, a0, a, b0, b, c0, c, d0, d):
-    """<R(A,B)C, D> for vectors given in the orthonormal basis.
-
-    ``h`` is f''/f and ``gp2`` is (f'/f)^2 at the base point; dots between
-    fiber components are Euclidean.  Shapes broadcast, so this evaluates on
-    whole grids at once.
-    """
-    bc = np.sum(b * c, axis=-1)
-    ac = np.sum(a * c, axis=-1)
-    ad = np.sum(a * d, axis=-1)
-    bd = np.sum(b * d, axis=-1)
-    return h * (a0 * d0 * bc - b0 * d0 * ac + b0 * c0 * ad - a0 * c0 * bd) + gp2 * (
-        bc * ad - ac * bd
-    )
-
-
 def frame_curvature_action(h, gp2, a0, a, b0, b, c0, c):
     """R(A,B)C in the orthonormal basis, returned as (out0, out_fiber)."""
     bc = np.sum(b * c, axis=-1)
@@ -187,19 +171,6 @@ def sectional_curvature(spec: WarpSpec, p, u: TangentVector, w: TangentVector) -
     return float(-(h * mixed + gp * gp * fiber) / gram)
 
 
-def sectional_curvature_frame(h, gp2, u0, u, w0, w):
-    """Vectorized sectional curvature for orthonormal-basis inputs.
-
-    No degeneracy guard; callers supply well-separated spanning pairs.
-    """
-    nu2 = u0 * u0 + np.sum(u * u, axis=-1)
-    nw2 = w0 * w0 + np.sum(w * w, axis=-1)
-    dot = u0 * w0 + np.sum(u * w, axis=-1)
-    gram = nu2 * nw2 - dot * dot
-    val = frame_curvature_form(h, gp2, u0, u, w0, w, u0, u, w0, w)
-    return val / gram
-
-
 def curvature_matrix_along(path, t: float) -> CurvatureMatrix:
     """Curvature matrix of a geodesic path at grid time t.
 
@@ -210,9 +181,10 @@ def curvature_matrix_along(path, t: float) -> CurvatureMatrix:
     j = int(np.clip(np.searchsorted(times, t), 1, len(times) - 1))
     j0 = j - 1 if abs(times[j - 1] - t) <= abs(times[j] - t) else j
     if abs(times[j0] - t) <= 1e-9 * max(1.0, abs(t)):
-        return CurvatureMatrix(entries=path.K[j0], t=float(times[j0]))
+        return CurvatureMatrix(entries=path.curvature_matrices(j0), t=float(times[j0]))
     if abs(times[j0] - t) >= path.step:
         raise DomainError(f"time {t} is more than one step away from the grid")
     lo = j - 1
     w = (t - times[lo]) / (times[j] - times[lo])
-    return CurvatureMatrix(entries=(1.0 - w) * path.K[lo] + w * path.K[j], t=float(t))
+    K_lo, K_hi = path.curvature_matrices([lo, j])
+    return CurvatureMatrix(entries=(1.0 - w) * K_lo + w * K_hi, t=float(t))

@@ -5,8 +5,9 @@ parallel perpendicular frame, is the matrix ODE
 
     Y''(t) + K(t) Y(t) = 0,
 
-with K(t) the symmetric curvature matrix carried by
-:class:`~warpflow.geodesics.GeodesicPath`.  Two-point solutions Y(0) = I,
+with K(t) the symmetric curvature matrix of a
+:class:`~warpflow.geodesics.GeodesicPath`, which stores only its
+coefficients (k1, k2).  Two-point solutions Y(0) = I,
 Y(r) = 0 exist and are unique here because the scenario metrics have
 non-positive curvature (no conjugate points); letting r -> +inf / -inf gives
 the stable / unstable solutions whose columns span the candidate contracting
@@ -35,7 +36,6 @@ import numpy as np
 from . import engine
 from .errors import ConjugatePointDetected, DomainError, GreenNotConverged, VanishingJacobiField
 from .geodesics import GeodesicPath, extend_path
-from .geometry import sectional_curvature_frame
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class MatrixJacobiSolution:
     def residual_defect(self) -> float:
         """Scale-free residual of Y'' + K Y via a fourth-order difference stencil."""
         h = self.path.step
-        K = self.path.K[self.path.fine_indices(self.times)]
+        K = self.path.curvature_matrices(self.path.fine_indices(self.times))
         Y = self.Y
         if len(self.times) < 5:
             raise DomainError("need at least 5 grid nodes for the residual check")
@@ -397,9 +397,16 @@ def riccati_along(solution: MatrixJacobiSolution, w, t_max: Optional[float] = No
     """Riccati function and residual along the field J(t) = Y(t) w.
 
     The residual is of z' + z^2 - 2 |J'|^2/|J|^2 + 2 K(gamma', J) = 0 with
-    z' by central differences and the curvature term evaluated through the
-    geometry module on the actual plane (gamma', J).  Raises
-    :class:`VanishingJacobiField` if |J| drops below 1e-12 on the window.
+    z' by central differences.  The curvature kappa = K(gamma', J) of the
+    plane spanned by gamma' and J = sum_i J_i V_i is read from the path's
+    (k1, k2) table: J = p E1 + (0, W) with p = c.J and |W| = q = |J - p c|,
+    and E1 and (0, W) span planes with gamma' of curvatures k1/|v|^4 and
+    k2/|v|^2 (``engine``), so
+
+        kappa = (k1 p^2 + k2 q^2) / (|v|^2 (|v|^2 p^2 + q^2)),   |v|^2 = u0^2 + s^2,
+
+    without a warp evaluation.  Raises :class:`VanishingJacobiField` if |J|
+    drops below 1e-12 on the window.
     """
     path = solution.path
     w = np.asarray(w, dtype=float)
@@ -415,15 +422,12 @@ def riccati_along(solution: MatrixJacobiSolution, w, t_max: Optional[float] = No
     z = 2.0 * np.einsum("ci,ci->c", J, Jp) / (norms * norms)
 
     fines = path.fine_indices(times)
-    g, gp, gpp = path.spec.log_derivatives(path.x[fines])
-    hcurv = gpp + gp * gp
-    u0 = path.u0[fines]
-    u = path.u[fines]
-    alpha = path.alpha[fines]
-    beta = path.beta[fines]
-    j0 = np.einsum("ci,ci->c", J, alpha)
-    jv = np.einsum("ci,cik->ck", J, beta)
-    kappa = sectional_curvature_frame(hcurv, gp * gp, u0, u, j0, jv)
+    k1, k2 = path.curvatures[fines].T
+    speed2 = path.u0[fines] ** 2 + path.s[fines] ** 2
+    p = J @ path.c
+    rest = J - p[:, None] * path.c
+    p2, q2 = p * p, np.einsum("ci,ci->c", rest, rest)
+    kappa = (k1 * p2 + k2 * q2) / (speed2 * (speed2 * p2 + q2))
 
     h = path.step
     zp = np.empty_like(z)

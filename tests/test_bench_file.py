@@ -3,6 +3,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,25 +78,52 @@ def test_single_runs_files_and_unmatched_workloads(tmp_path):
     assert set(json.loads((tmp_path / "x.json").read_text())["workloads"]) == {"scan"}
 
 
-def test_gain_resolved_needs_ten_pairs_nine_wins_and_a_gap_beyond_the_parent_spread():
-    bench_file = _module()
+def _run_s(pairs):
+    """The run_s entry of a BENCH document from (parent, change) values, one pair per seed."""
+    parent = [_record(seed, old, "aaa") for seed, (old, _) in enumerate(pairs)]
+    change = [_record(seed, new, "bbb") for seed, (_, new) in enumerate(pairs)]
+    return _module().bench(1, parent, change)["workloads"]["scan"]["run_s"]
 
-    def run_s(pairs):
-        parent = [_record(seed, old, "aaa") for seed, (old, _) in enumerate(pairs)]
-        change = [_record(seed, new, "bbb") for seed, (_, new) in enumerate(pairs)]
-        return bench_file.bench(1, parent, change)["workloads"]["scan"]["run_s"]
 
+def test_gain_resolved_needs_ten_pairs_nine_wins_and_a_gain_beyond_ratio_spread():
     parent = [1.0 + 0.01 * seed for seed in range(10)]  # quartiles 1.0225 and 1.0675
-    entry = run_s([(old, old - 0.1) for old in parent])
+    entry = _run_s([(old, old - 0.1) for old in parent])
     assert entry["parent_iqr"] == pytest.approx(0.045)
+    assert entry["ratio_median"] == pytest.approx(0.904, abs=1e-3) and entry["ratio_iqr"] < 0.01
     assert (entry["paired_seeds"], entry["change_lower_in"], entry["gain_resolved"]) == (10, 10, True)
     # one loss in ten still resolves, two do not
-    assert run_s([(old, old - 0.1 if seed else old + 1.0) for seed, old in enumerate(parent)])["gain_resolved"]
-    assert not run_s([(old, old - 0.1 if seed > 1 else old + 1.0) for seed, old in enumerate(parent)])["gain_resolved"]
-    # wins in every pair, but by less than the parent's spread
-    assert not run_s([(old, old - 0.01) for old in parent])["gain_resolved"]
+    assert _run_s([(old, old - 0.1 if seed else old + 1.0) for seed, old in enumerate(parent)])["gain_resolved"]
+    assert not _run_s([(old, old - 0.1 if seed > 1 else old + 1.0) for seed, old in enumerate(parent)])["gain_resolved"]
+    # wins in every pair, but the median gain of 0.1 % lies within the ratios' spread
+    ratios = [0.5, 0.5, 0.5] + [0.999] * 7
+    entry = _run_s([(old, ratio * old) for old, ratio in zip(parent, ratios)])
+    assert entry["change_lower_in"] == 10 and entry["ratio_median"] == pytest.approx(0.999)
+    assert not entry["gain_resolved"]
     # too few pairs
-    assert not run_s([(old, old - 0.1) for old in parent[:9]])["gain_resolved"]
+    assert not _run_s([(old, old - 0.1) for old in parent[:9]])["gain_resolved"]
+
+
+def test_gain_resolved_on_the_single_path_values_of_bench_13():
+    # by-seed values bimodal by input: the parent's interquartile range over
+    # seeds (40 % of its median) exceeds the -38 % gain, the ratios' does not
+    entry = json.loads((ROOT / "BENCH_13.json").read_text(encoding="utf-8"))["workloads"]["single-path"]["run_s"]
+    old, new = entry["parent"]["by_seed"], entry["change"]["by_seed"]
+    run_s = _run_s([(old[seed], new[seed]) for seed in sorted(old)])
+    assert run_s["ratio_median"] == pytest.approx(0.63, abs=0.01)
+    assert run_s["ratio_iqr"] == pytest.approx(0.11, abs=0.01)
+    assert run_s["parent_iqr"] > (run_s["parent"]["median"] - run_s["change"]["median"])
+    assert run_s["gain_resolved"]
+
+
+def test_unchanged_side_with_jitter_is_not_resolved():
+    rng = np.random.RandomState(7)
+    parent = 0.05 + 0.05 * rng.rand(20)
+    jitter = 1.0 + rng.uniform(-0.03, 0.03, 20)
+    entry = _run_s(list(zip(parent, parent * jitter)))
+    assert entry["paired_seeds"] == 20
+    # refused by the ratio rule on its own, not only by the count of wins
+    assert 1.0 - entry["ratio_median"] < entry["ratio_iqr"]
+    assert not entry["gain_resolved"]
 
 
 def test_duplicate_workload_and_seed_on_one_side_is_an_error(tmp_path, capsys):

@@ -8,7 +8,6 @@ from warpflow.geodesics import (
     flip,
     integrate_geodesic,
     integrate_window,
-    parallel_frame,
     scalar_velocity,
     scalar_velocity_series,
     unit_tangent,
@@ -208,37 +207,42 @@ class TestScalarVelocity:
         assert path.u0[-1] == pytest.approx(b_scalar, abs=1e-10)
 
 
+def _frame_gram(path):
+    """Gram matrices <V_i, V_k> (J, n, n) of the frame rows V_i = (alpha_i, beta_i) at every fine node."""
+    vecs = np.concatenate([path.alpha[:, :, None], path.beta], axis=2)
+    return np.einsum("jid,jkd->jik", vecs, vecs)
+
+
 class TestParallelFrame:
     def test_flat_frame_constant(self):
         spec = _flat_warp()
         th = unit_tangent_from_direction(spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(spec, th, 2.0, 0.01)
-        frame = parallel_frame(path)
-        assert np.max(np.abs(frame.alpha - frame.alpha[0])) < 1e-14
-        assert np.max(np.abs(frame.beta - frame.beta[0])) < 1e-14
+        alpha, beta = path.alpha, path.beta
+        assert np.max(np.abs(alpha - alpha[0])) < 1e-14
+        assert np.max(np.abs(beta - beta[0])) < 1e-14
 
     def test_axis_geodesic_scaled_fiber_fields(self, anosov_spec):
         # along |x'| = 1 geodesics the fields f^{-1} d_{y_i} are parallel:
         # in the orthonormal basis they are the constant coordinate fields
         th = unit_tangent_from_direction(anosov_spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(anosov_spec, th, 10.0, 0.01)
-        frame = parallel_frame(path)
-        assert np.max(np.abs(frame.alpha)) < 1e-8
-        assert np.max(np.abs(frame.beta - frame.beta[0])) < 1e-8
+        assert np.max(np.abs(path.alpha)) < 1e-8
+        beta = path.beta
+        assert np.max(np.abs(beta - beta[0])) < 1e-8
 
     def test_orthonormality_long_horizon(self, anosov_spec):
         th = unit_tangent_from_direction(anosov_spec, 0.4, np.zeros(2), -0.3, [0.6, 0.742])
         path = integrate_geodesic(anosov_spec, th, 50.0, 0.01, drift_tol=1e-5)
-        frame = parallel_frame(path)
-        assert frame.max_orthonormality_defect() < 1e-8
+        gram = _frame_gram(path) - np.eye(2)
+        assert np.max(np.abs(gram)) < 1e-8
 
     def test_transport_preserves_metric_inner_products(self, counter_spec):
         th = unit_tangent_from_direction(counter_spec, 0.5, np.zeros(2), 0.1, [0.7, 0.707])
         path = integrate_geodesic(counter_spec, th, 30.0, 0.01, drift_tol=1e-6)
-        frame = parallel_frame(path)
+        gram = _frame_gram(path)
         for j in (0, len(path.times_fine) // 2, len(path.times_fine) - 1):
-            gram = frame.inner_products(j)
-            assert np.max(np.abs(gram - np.eye(2))) < 1e-8
+            assert np.max(np.abs(gram[j] - np.eye(2))) < 1e-8
 
 
 class TestFlip:

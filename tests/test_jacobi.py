@@ -6,6 +6,7 @@ import pytest
 from warpflow import scenarios
 from warpflow.errors import DomainError, GreenNotConverged, VanishingJacobiField
 from warpflow.geodesics import flip, integrate_geodesic, unit_tangent_from_direction
+from warpflow.geometry import TangentVector, sectional_curvature
 from warpflow.jacobi import (
     SasakiVector,
     dphi_norm,
@@ -335,6 +336,34 @@ class TestRiccati:
             assert np.max(np.abs(series.z)) <= 2.0 * c + 1e-6
             assert series.max_residual() < 1e-5
             assert series.average_identity_defect() < 1e-6
+
+    @pytest.mark.parametrize("step", [0.005, 0.01])
+    @pytest.mark.parametrize("build, u", [
+        (lambda: scenarios.build_anosov_example(3.0, n=2), [0.6, 0.742]),
+        (lambda: scenarios.build_anosov_example(3.0, n=3), [0.6, 0.5, 0.3]),
+        (lambda: scenarios.build_counterexample(n=2), [0.7, 0.707]),
+    ], ids=["periodic", "periodic-n3", "counterexample"])
+    def test_kappa_is_the_sectional_curvature_of_the_plane(self, build, u, step):
+        # kappa comes from the (k1, k2) table; the geometry module evaluates
+        # the curvature of the plane (gamma', J) from its wedge minors, with
+        # J = sum_i J_i V_i built from the frame rows (alpha_i, beta_i)
+        spec = build()
+        th = unit_tangent_from_direction(spec, 0.4, np.zeros(spec.n), -0.3, u)
+        path = integrate_geodesic(spec, th, 4.0, step, drift_tol=1e-5)
+        sol = solve_boundary(path, 6.0)
+        w = np.linspace(1.0, 0.4, spec.n)
+        series = riccati_along(sol, w)
+        alpha, beta = path.alpha, path.beta
+        errors = []
+        for c, t in enumerate(series.times):
+            j = path.fine_index(t)
+            J = sol.Y[c] @ w
+            state = path.state_at(t)
+            f = float(spec.f(state.x))
+            field = TangentVector(x=state.x, y=state.y, dx=J @ alpha[j], dy=(J @ beta[j]) / f)
+            kappa = sectional_curvature(spec, (state.x, state.y), state.as_tangent_vector(), field)
+            errors.append(abs(series.kappa[c] - kappa) / (1.0 + abs(kappa)))
+        assert max(errors) <= 1e-13
 
     def test_vanishing_field_raises(self, const_spec):
         # the swept limit solution really decays to e^{-40} < 1e-12 (a

@@ -152,3 +152,27 @@ def test_periodic_check_certifies_at_first_rung(monkeypatch):
                                         t_min=25.0, horizon=27.5)
     assert [len(r) for r in rungs] == [1]
     assert not [f for f in result.report.failures if f["kind"] == "green_gap"]
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("a", [2.5, 3.0])
+def test_floquet_exponent_of_the_periodic_warp_is_a(a, x0):
+    # along the axis geodesic x = x0 + t both modes solve y'' = h y, h = g'' + g'^2,
+    # which f = e^g solves too; g(x + T) = g(x) + a T makes f a Floquet solution
+    # with multiplier e^{aT}, and the Wronskian puts the other at e^{-aT}, so
+    # the monodromy over one period T = 2 pi has exponent log(rho) / T = a.
+    # RK4's fourth order shows as an error ratio near 16 between 2,000 and
+    # 4,000 steps.
+    spec = scenarios.build_anosov_example(a, n=2)
+    T = 2.0 * np.pi
+    errors = []
+    for steps in (2000, 4000):
+        _, gp, gpp = spec.log_derivatives(x0 + np.linspace(0.0, T, 2 * steps + 1))
+        k = -(gpp + gp * gp)
+        start = np.eye(2)[:, :, None, None]  # the pairs (y, y') = (1, 0) and (0, 1)
+        pairs, scales = engine.scalar_march(k[:, None, None], T / steps, 0, steps, start, steps, steps)
+        monodromy = np.ldexp(pairs[0, :, :, 0, 0], scales[0, :, 0, 0])
+        rho = np.abs(np.linalg.eigvals(monodromy)).max()
+        errors.append(abs(np.log(rho) / T - a))
+    assert errors[0] < 1e-8
+    assert errors[0] / errors[1] >= 12.0
