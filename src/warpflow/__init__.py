@@ -34,7 +34,6 @@ from .geodesics import (
 from .jacobi import (
     MatrixJacobiSolution,
     RiccatiSeries,
-    SasakiVector,
     dphi_norm,
     dphi_norm_series,
     green_stable,

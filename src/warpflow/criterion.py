@@ -71,14 +71,6 @@ class AnosovReport:
     failures: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def envelope_tuple(self) -> tuple:
-        return (
-            self.stable_envelope.C,
-            self.stable_envelope.lam,
-            self.unstable_envelope.C,
-            self.unstable_envelope.lam,
-        )
-
     def json_dict(self) -> dict:
         se, ue = self.stable_envelope, self.unstable_envelope
         return {

@@ -43,11 +43,10 @@ n x n matrices are assembled only by callers that return them
 
 Finiteness.  The kernel evaluates the warp unchecked.  A run, stored or
 not, reads only g' at its RK4 stages (:meth:`WarpSpec.log_slope`) and
-evaluates (g, g', g'') of the tabulated nodes (:meth:`WarpSpec.log_triple`)
+evaluates (g, g', g'') of the tabulated nodes (:attr:`WarpSpec.triple`)
 once per block of at most ``_BLOCK_NODES`` nodes; that one array feeds the
 curvature table, the momentum defect and the finiteness test: a non-finite
-x or (g, g', g'') raises :class:`DomainError`.  A direct warp reaching
-f <= 0 is caught there, as log f is -inf or NaN.  Only the start state goes
+x or (g, g', g'') raises :class:`DomainError`.  Only the start state goes
 through the checked :meth:`WarpSpec.log_derivatives`, so a bad x0 fails at
 once.
 """
@@ -238,7 +237,7 @@ def integrate_states(
         dS = np.empty_like(S)
         dS[:3] = rhs(stage, S[:3])
         s = S[2]
-        dS[3] = np.where(s == 0.0, 0.0, np.exp(-spec.log_triple(S[0])[0]) * s)
+        dS[3] = np.where(s == 0.0, 0.0, np.exp(-spec.triple(S[0])[0]) * s)
         return dS
 
     def flush(j0, count):
@@ -246,7 +245,7 @@ def integrate_states(
         nonlocal max_unit, max_mom, alive, Y_carry
         table = states[:, j0 : j0 + count] if store else states[:, :count]
         x, u0s, s = table
-        g, gp, gpp = spec.log_triple(x)
+        g, gp, gpp = spec.triple(x)
         if not all(np.isfinite(v).all() for v in (x, g, gp, gpp)):
             times = out["times_fine"][[j0, j0 + count - 1]]
             raise DomainError(f"non-finite x or warp data (g, g', g'') between t = {times[0]:g} and {times[1]:g}")

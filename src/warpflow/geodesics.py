@@ -373,7 +373,7 @@ def scalar_velocity_series(
         for i in range(nsteps):
             state = engine._rk4_step(rhs, state, h)
             states[:, i + 1] = state
-    spec.log_derivatives(xs)  # raises if x left the domain of the warp
+        spec.log_derivatives(xs)  # raises if x left the domain of the warp
     return times, np.tanh(ells / 2.0), ells
 
 

@@ -38,24 +38,6 @@ from .errors import ConjugatePointDetected, DomainError, GreenNotConverged, Vani
 from .geodesics import GeodesicPath, extend_path
 
 
-@dataclass(frozen=True)
-class SasakiVector:
-    """Initial data (J(0), J'(0)) of a perpendicular Jacobi field, frame components."""
-
-    J: np.ndarray
-    Jp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "J", np.atleast_1d(np.asarray(self.J, dtype=float)))
-        object.__setattr__(self, "Jp", np.atleast_1d(np.asarray(self.Jp, dtype=float)))
-        if not (np.all(np.isfinite(self.J)) and np.all(np.isfinite(self.Jp))):
-            raise DomainError("non-finite Sasaki components")
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.J, self.J) + np.dot(self.Jp, self.Jp)))
-
-
 @dataclass
 class MatrixJacobiSolution:
     """(Y, Y') on the coarse grid of a path; two-point and limit solutions also carry their modes (y, y')."""

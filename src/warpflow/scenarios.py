@@ -52,7 +52,6 @@ def build_anosov_example(a: float, n: int = 2) -> WarpSpec:
     return WarpSpec(
         name=f"anosov-warped-torus(a={a:g})",
         n=n,
-        mode="exponential",
         triple=triple,
         slope=slope,
         period=2.0 * np.pi,
@@ -64,23 +63,21 @@ def build_anosov_example(a: float, n: int = 2) -> WarpSpec:
 
 
 def build_counterexample(n: int = 2) -> WarpSpec:
-    """Direct-mode warp f(x) = sqrt(1 + x^2); negative curvature, no uniform average."""
+    """Warp f(x) = sqrt(1 + x^2), g = log(1 + x^2)/2; negative curvature, no uniform average."""
 
     def triple(x):
         x = np.asarray(x, dtype=float)
-        f = np.sqrt(1.0 + x * x)
-        return f, x / f, (1.0 + x * x) ** -1.5
+        q = 1.0 + x * x
+        return 0.5 * np.log(q), x / q, (2.0 - q) / (q * q)
 
     def slope(x):
-        f = np.sqrt(1.0 + x * x)
-        return (x / f) / f  # f'/f as log_triple forms it
+        return x / (1.0 + x * x)
 
     # K >= -max(f''/f, (f'/f)^2) = -1, the first factor peaking at x = 0
     c_sq = 1.0
     return WarpSpec(
         name="counterexample-sqrt",
         n=n,
-        mode="direct",
         triple=triple,
         slope=slope,
         period=None,
@@ -106,7 +103,6 @@ def build_constant_curvature(k: float, n: int = 2) -> WarpSpec:
     return WarpSpec(
         name=f"constant-curvature(k={k:g})",
         n=n,
-        mode="exponential",
         triple=triple,
         slope=slope,
         period=2.0 * np.pi,

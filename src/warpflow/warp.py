@@ -1,10 +1,8 @@
 """Warp functions for product metrics g = dx^2 + f(x)^2 (dy_1^2 + ... + dy_n^2).
 
-A warp is described either through the log-warp g = log f (``exponential``
-mode, natural when f = e^g) or directly through f and its derivatives
-(``direct`` mode).  All geometry downstream only ever needs the triple
-(g, g', g'') -- equivalently (f'/f, f''/f) -- which stays O(1) even when
-f itself overflows double precision.
+A warp is its log-warp triple (g, g', g'') with f = e^g.  All geometry
+only ever needs f'/f = g' and f''/f = g'' + (g')^2, which stay O(1) even
+when f itself overflows double precision.
 """
 from __future__ import annotations
 
@@ -15,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# Maps x-array -> (value, first, second derivative) arrays.
+# Maps x-array -> (g, g', g'') arrays, f = e^g.
 TripleFn = Callable[[np.ndarray], tuple]
 
 
@@ -52,11 +50,9 @@ class WarpSpec:
         Human-readable identifier (also used by the CLI scenario registry).
     n : int
         Dimension of the flat-torus factor; the manifold has dimension n + 1.
-    mode : str
-        ``"exponential"`` if ``triple`` returns (g, g', g'') with f = e^g,
-        ``"direct"`` if it returns (f, f', f'').
     triple : callable
-        Vectorized evaluator of the warp data, see ``mode``.
+        Vectorized evaluator of (g, g', g'') with f = e^g.  A warp known
+        through f has the triple (log f, f'/f, f''/f - (f'/f)^2).
     slope : callable or None
         Optional unchecked evaluator of g' = f'/f alone, which the geodesic
         kernel calls at every RK4 stage of stored and unstored runs
@@ -80,7 +76,6 @@ class WarpSpec:
 
     name: str
     n: int
-    mode: str
     triple: TripleFn
     slope: Optional[Callable[[np.ndarray], np.ndarray]] = None
     period: Optional[float] = None
@@ -90,15 +85,13 @@ class WarpSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in ("exponential", "direct"):
-            raise DomainError(f"unknown warp mode {self.mode!r}")
         if self.n < 1:
             raise DomainError("torus dimension n must be >= 1")
         if self.slope is not None:
             lo, hi = self.sample_window()
             x = np.linspace(lo, hi, 7)
             with np.errstate(all="ignore"):
-                gp = self.log_triple(x)[1]
+                gp = self.triple(x)[1]
                 given = np.asarray(self.slope(x), dtype=float)
                 ok = np.abs(given - gp) <= 1e-12 * (1.0 + np.abs(gp))
             if not ok[np.isfinite(gp)].all():
@@ -109,46 +102,26 @@ class WarpSpec:
     def log_derivatives(self, x):
         """Return (g, g', g'') at x with g = log f.  Vectorized.
 
-        Raises :class:`DomainError` for a non-finite x or, in direct mode, a
-        non-positive f; :meth:`log_triple` is the same evaluation unchecked.
+        Raises :class:`DomainError` for a non-finite x or (g, g', g'');
+        :attr:`triple` is the same evaluation unchecked.
         """
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise DomainError("non-finite x")
-        a, b, c = (np.asarray(v, dtype=float) for v in self.triple(x))
-        if self.mode == "direct" and (a <= 0.0).any():
-            raise DomainError("warp function must be positive")
-        return self._log_form(a, b, c)
-
-    def log_triple(self, x):
-        """(g, g', g'') at a float array x, unchecked: the integration kernels' evaluator.
-
-        A direct warp with f <= 0 gives g = -inf or NaN (with numpy's warning
-        unless the caller silences it); callers test finiteness themselves.
-        """
-        return self._log_form(*self.triple(x))
+        out = tuple(np.asarray(v, dtype=float) for v in self.triple(x))
+        if not all(np.isfinite(v).all() for v in out):
+            raise DomainError(f"warp {self.name!r} is not finite on the given x")
+        return out
 
     def log_slope(self, x):
-        """g' at a float array x, unchecked: ``slope`` when given, else the g' of :meth:`log_triple`."""
+        """g' at a float array x, unchecked: ``slope`` when given, else the g' of :attr:`triple`."""
         if self.slope is None:
-            return self.log_triple(x)[1]
+            return self.triple(x)[1]
         return self.slope(x)
 
-    def _log_form(self, a, b, c):
-        """(g, g', g'') from the triple's values (f, f', f'') or (g, g', g'')."""
-        if self.mode == "exponential":
-            return a, b, c
-        gp = b / a
-        gpp = c / a - gp * gp
-        return np.log(a), gp, gpp
-
     def f_derivatives(self, x):
-        """Return (f, f', f'') at x.  Overflows for exponential warps at large g."""
-        x = np.asarray(x, dtype=float)
-        a, b, c = self.triple(x)
-        if self.mode == "direct":
-            return (np.asarray(a, float), np.asarray(b, float), np.asarray(c, float))
-        g, gp, gpp = a, b, c
+        """Return (f, f', f'') at x.  Overflows at large g."""
+        g, gp, gpp = self.triple(np.asarray(x, dtype=float))
         f = np.exp(g)
         return f, gp * f, (gpp + gp * gp) * f
 
@@ -167,21 +140,13 @@ class WarpSpec:
         only conditions coordinate-level computations around x0.
         """
         base = self.triple
-        if self.mode == "exponential":
-            g0 = float(base(np.asarray(x0, float))[0])
+        g0 = float(base(np.asarray(x0, float))[0])
 
-            def shifted(x, _base=base, _g0=g0):
-                g, gp, gpp = _base(x)
-                return g - _g0, gp, gpp
+        def shifted(x, _base=base, _g0=g0):
+            g, gp, gpp = _base(x)
+            return g - _g0, gp, gpp
 
-            return replace(self, triple=shifted, params=dict(self.params), name=self.name)
-        f0 = float(base(np.asarray(x0, float))[0])
-
-        def scaled(x, _base=base, _f0=f0):
-            f, fp, fpp = _base(x)
-            return f / _f0, fp / _f0, fpp / _f0
-
-        return replace(self, triple=scaled, params=dict(self.params), name=self.name)
+        return replace(self, triple=shifted, params=dict(self.params), name=self.name)
 
     # -- condition checks -----------------------------------------------
 

@@ -14,7 +14,7 @@ import numpy as np
 
 
 def _rhs(spec, S):
-    g, gp, _ = spec.log_triple(S[0])
+    g, gp, _ = spec.triple(S[0])
     u0s, s = S[1], S[2]
     dS = np.empty_like(S)
     dS[0] = u0s
@@ -51,7 +51,7 @@ def stored_run(spec, state, *, t0: float, t1: float, step: float) -> dict:
             if j < J - 1:
                 S = _step(spec, S, hf)
         x, u0, s, Y = states
-        g, gp, gpp = spec.log_triple(x)
+        g, gp, gpp = spec.triple(x)
         h = gpp + gp * gp
         s2 = s * s
         speed2 = u0 * u0 + s2

@@ -52,8 +52,8 @@ def test_stored_and_unstored_runs_agree(name):
     assert np.array_equal(stored["final_state"][:3], unstored["final_state"])
     assert np.array_equal(stored["max_unit_defect"], unstored["max_unit_defect"])
     # the block evaluation gives the bits of a node-by-node one
-    per_node = np.array([spec.log_triple(x) for x in stored["x"]])
-    assert np.array_equal(np.stack(spec.log_triple(stored["x"]), axis=1), per_node)
+    per_node = np.array([spec.triple(x) for x in stored["x"]])
+    assert np.array_equal(np.stack(spec.triple(stored["x"]), axis=1), per_node)
 
 
 def test_sweep_renormalization_is_per_sample():

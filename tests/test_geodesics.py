@@ -24,7 +24,7 @@ def _flat_warp(n=2):
         z = np.zeros_like(x)
         return z, z, z
 
-    return WarpSpec(name="flat", n=n, mode="exponential", triple=triple, c_squared=0.0)
+    return WarpSpec(name="flat", n=n, triple=triple, c_squared=0.0)
 
 
 def _identity_warp(n=2):
@@ -32,7 +32,7 @@ def _identity_warp(n=2):
         x = np.asarray(x, float)
         return x, np.ones_like(x), np.zeros_like(x)
 
-    return WarpSpec(name="g(x)=x", n=n, mode="exponential", triple=triple, c_squared=1.0)
+    return WarpSpec(name="g(x)=x", n=n, triple=triple, c_squared=1.0)
 
 
 class TestUnitTangent:
@@ -283,12 +283,14 @@ class TestWarpDomain:
     """The kernels evaluate the warp unchecked and test finiteness per block of nodes."""
 
     @staticmethod
-    def _linear_direct_warp():
+    def _linear_warp():
         def triple(x):
             x = np.asarray(x, float)
-            return 1.0 - x / 4.0, np.full_like(x, -0.25), np.zeros_like(x)
+            f = 1.0 - x / 4.0
+            gp = -0.25 / f
+            return np.log(f), gp, -gp * gp
 
-        return WarpSpec(name="linear", n=2, mode="direct", triple=triple)
+        return WarpSpec(name="linear", n=2, triple=triple)
 
     def test_non_finite_start_raises(self, anosov_spec):
         state, e = engine.slice_state(np.array([np.nan]), np.array([0.6]), np.array([[0.8, 0.0]]))
@@ -300,7 +302,7 @@ class TestWarpDomain:
     def test_axis_geodesic_through_zero_of_f_raises(self, store):
         # x = t along the axis, so f = 1 - x/4 vanishes at t = 4 and is negative after;
         # stored or not, the run stops in the block of 256 nodes that reaches it
-        spec = self._linear_direct_warp()
+        spec = self._linear_warp()
         state, e = engine.slice_state(np.array([0.0]), np.array([1.0]), np.array([[0.0, 0.0]]))
         with pytest.raises(DomainError, match=r"between t = 3\.84 and 5\.115"):
             engine.integrate_states(spec, state, e, t0=0.0, t1=10.0, step=0.01, store=store)
@@ -313,9 +315,11 @@ class TestWarpDomain:
         # f = 1 - x^2/16; the exact orbit turns before x = 4, steps of 0.5 overshoot it
         def triple(x):
             x = np.asarray(x, float)
-            return 1.0 - x * x / 16.0, -x / 8.0, np.full_like(x, -1.0 / 8.0)
+            f = 1.0 - x * x / 16.0
+            gp = (-x / 8.0) / f
+            return np.log(f), gp, (-1.0 / 8.0) / f - gp * gp
 
-        spec = WarpSpec(name="cap", n=1, mode="direct", triple=triple)
+        spec = WarpSpec(name="cap", n=1, triple=triple)
         with pytest.raises(DomainError):
             scalar_velocity_series(spec, 0.999, 20.0, step=0.5)
         assert np.isfinite(scalar_velocity_series(spec, 0.999, 20.0, step=0.1)[2]).all()

@@ -27,7 +27,7 @@ def _identity_warp(n=2):
         x = np.asarray(x, float)
         return x, np.ones_like(x), np.zeros_like(x)
 
-    return WarpSpec(name="g(x)=x", n=n, mode="exponential", triple=triple, c_squared=1.0)
+    return WarpSpec(name="g(x)=x", n=n, triple=triple, c_squared=1.0)
 
 
 def _flat_warp(n=2):
@@ -36,7 +36,7 @@ def _flat_warp(n=2):
         z = np.zeros_like(x)
         return z, z, z
 
-    return WarpSpec(name="flat", n=n, mode="exponential", triple=triple, c_squared=0.0)
+    return WarpSpec(name="flat", n=n, triple=triple, c_squared=0.0)
 
 
 class TestMetricDot:

@@ -8,7 +8,6 @@ from warpflow.errors import DomainError, GreenNotConverged, VanishingJacobiField
 from warpflow.geodesics import flip, integrate_geodesic, unit_tangent_from_direction
 from warpflow.geometry import TangentVector, sectional_curvature
 from warpflow.jacobi import (
-    SasakiVector,
     dphi_norm,
     dphi_norm_series,
     green_stable,
@@ -27,7 +26,7 @@ def _flat_warp(n=2):
         z = np.zeros_like(x)
         return z, z, z
 
-    return WarpSpec(name="flat", n=n, mode="exponential", triple=triple, c_squared=0.0)
+    return WarpSpec(name="flat", n=n, triple=triple, c_squared=0.0)
 
 
 def _const_path(const_spec, t_end=5.0, step=0.01):
@@ -99,12 +98,6 @@ def _pole_limit_errors(spec, green, b0):
             errors.append(np.max(np.abs(sol.modes[0] / exact[:, None] - 1.0)))
         out.append(errors)
     return out
-
-
-class TestSasakiVector:
-    def test_norm_is_euclidean_on_components(self):
-        v = SasakiVector(J=[3.0, 0.0], Jp=[0.0, 4.0])
-        assert v.norm == pytest.approx(5.0)
 
 
 class TestJacobiIVP:
@@ -180,6 +173,25 @@ class TestBoundarySolutions:
         for t in (10.0, 20.0, 30.0):
             c = sol.index_of(t)
             assert sol.Y[c][0, 0] == pytest.approx(np.exp(-t), rel=1e-6)
+
+    @pytest.mark.parametrize("b0", [-1.0, 1.0])
+    @pytest.mark.parametrize("x0", [-2.0, 0.5, 3.0])
+    def test_counterexample_axis_two_point_closed_form(self, counter_spec, x0, b0):
+        # on the axis x = x0 + b0 t both modes solve y'' = h(x) y, and so do
+        # f = sqrt(1 + x^2) and f arctan x (reduction of order, f^-2 = 1/(1 + x^2));
+        # RK4's fourth order shows as an error ratio near 16 between the steps
+        r = 20.0
+        x_r = x0 + b0 * r
+        errors = []
+        for step in (0.02, 0.01):
+            th = unit_tangent_from_direction(counter_spec, x0, np.zeros(2), b0, [0.0, 0.0])
+            sol = solve_boundary(integrate_geodesic(counter_spec, th, 8.0, step), r)
+            x = x0 + b0 * sol.times
+            exact = np.hypot(1.0, x) * (np.arctan(x_r) - np.arctan(x))
+            exact /= np.hypot(1.0, x0) * (np.arctan(x_r) - np.arctan(x0))
+            errors.append(np.max(np.abs(sol.modes[0] / exact[:, None] - 1.0)))
+        assert errors[0] < 1e-8
+        assert errors[0] / errors[1] >= 12.0
 
     def test_ladder_gaps_shrink_monotonically(self, counter_spec):
         th = unit_tangent_from_direction(counter_spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])

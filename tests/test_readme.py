@@ -1,0 +1,13 @@
+"""The README's Python examples run as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert blocks
+    namespace = {}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)

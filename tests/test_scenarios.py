@@ -100,7 +100,7 @@ def _spike_spec(kappa):
         bump = np.exp(kappa * (np.cos(x) - 1.0))
         return 3.0 * x, 3.0 + bump, -kappa * np.sin(x) * bump
 
-    return WarpSpec(name=f"spike({kappa:g})", n=2, mode="exponential", triple=triple,
+    return WarpSpec(name=f"spike({kappa:g})", n=2, triple=triple,
                     period=2.0 * np.pi, growth_bounds=(6.0, 8.0))
 
 

@@ -6,7 +6,7 @@ from warpflow.errors import DomainError
 from warpflow.warp import WarpSpec, triple_from_scalar, warp_from_config_section
 
 
-def test_direct_mode_log_derivatives(counter_spec):
+def test_counterexample_log_derivatives(counter_spec):
     xs = np.linspace(-3.0, 3.0, 41)
     g, gp, gpp = counter_spec.log_derivatives(xs)
     assert np.allclose(g, 0.5 * np.log(1 + xs * xs), atol=1e-14)
@@ -27,9 +27,11 @@ def test_f_derivatives_roundtrip(anosov_spec):
 def test_positive_warp_required():
     def triple(x):
         x = np.asarray(x, float)
-        return x - 10.0, np.ones_like(x), np.zeros_like(x)
+        with np.errstate(invalid="ignore"):
+            return np.log(x - 10.0), 1.0 / (x - 10.0), -1.0 / ((x - 10.0) * (x - 10.0))
 
-    spec = WarpSpec(name="bad", n=1, mode="direct", triple=triple)
+    # f = x - 10 < 0 at x = 0, where g = log f is NaN
+    spec = WarpSpec(name="bad", n=1, triple=triple)
     with pytest.raises(DomainError):
         spec.log_derivatives(np.array([0.0]))
 
@@ -62,7 +64,7 @@ def test_custom_warp_not_serializable():
         x = np.asarray(x, float)
         return x, np.ones_like(x), np.zeros_like(x)
 
-    spec = WarpSpec(name="custom", n=2, mode="exponential", triple=triple)
+    spec = WarpSpec(name="custom", n=2, triple=triple)
     with pytest.raises(DomainError):
         spec.to_config_section()
 
@@ -83,32 +85,32 @@ def test_rebased_preserves_log_derivatives(counter_spec):
 def test_log_triple_equals_log_derivatives(name):
     spec = scenarios.build_scenario(name, n=2)
     xs = np.linspace(-300.0, 300.0, 6001)
-    for unchecked, checked in zip(spec.log_triple(xs), spec.log_derivatives(xs)):
+    for unchecked, checked in zip(spec.triple(xs), spec.log_derivatives(xs)):
         assert np.array_equal(unchecked, checked)
     assert spec.slope is not None
-    assert np.array_equal(spec.log_slope(xs), spec.log_triple(xs)[1])
+    assert np.array_equal(spec.log_slope(xs), spec.triple(xs)[1])
 
 
 def test_log_slope_falls_back_to_the_triple():
-    spec = WarpSpec(name="sin", n=1, mode="exponential", triple=triple_from_scalar(np.sin))
+    spec = WarpSpec(name="sin", n=1, triple=triple_from_scalar(np.sin))
     xs = np.linspace(0.0, 2.0, 21)
     assert spec.slope is None
-    assert np.array_equal(spec.log_slope(xs), spec.log_triple(xs)[1])
+    assert np.array_equal(spec.log_slope(xs), spec.triple(xs)[1])
 
 
 def test_slope_must_match_the_triple():
     def triple(x):
         return np.sin(x), np.cos(x), -np.sin(x)
 
-    WarpSpec(name="sin", n=1, mode="exponential", triple=triple, slope=np.cos)
+    WarpSpec(name="sin", n=1, triple=triple, slope=np.cos)
     for wrong in (lambda x: np.cos(x) * (1.0 + 1e-9), lambda x: np.cos(x) + 1e-11, lambda x: np.full_like(x, np.nan)):
         with pytest.raises(DomainError):
-            WarpSpec(name="sin", n=1, mode="exponential", triple=triple, slope=wrong)
+            WarpSpec(name="sin", n=1, triple=triple, slope=wrong)
 
     # f = x vanishes at x = 0 inside the window, where g' = 1/x is not finite
     def line(x):
-        return x, np.ones_like(x), np.zeros_like(x)
+        return np.log(x), 1.0 / x, -1.0 / (x * x)
 
-    WarpSpec(name="line", n=1, mode="direct", triple=line, slope=lambda x: 1.0 / x)
+    WarpSpec(name="line", n=1, triple=line, slope=lambda x: 1.0 / x)
     with pytest.raises(DomainError):
-        WarpSpec(name="line", n=1, mode="direct", triple=line, slope=lambda x: 1.0 / (x + 1e-3))
+        WarpSpec(name="line", n=1, triple=line, slope=lambda x: 1.0 / (x + 1e-3))
