@@ -60,16 +60,16 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     path = integrate_geodesic(spec, theta, cfg.t_end, cfg.step, drift_tol=cfg.drift_tol)
     n = spec.n
     mom_defect = path.momentum_defect_series()
-    y, u = path.y, path.u
+    y, u = path.y, path.u[::2]
+    g = spec.log_derivatives(path.x[::2])[0]
+    with np.errstate(over="ignore"):
+        dy = np.where(u == 0.0, 0.0, np.exp(-g)[:, None] * u)
     rows = []
     for c, t in enumerate(path.times):
         j = 2 * c
-        g = float(spec.log_derivatives(np.asarray(path.x[j], float))[0])
-        with np.errstate(over="ignore"):
-            dy = np.where(u[j] == 0.0, 0.0, np.exp(-g) * u[j])
         rows.append(
             [t, path.x[j], *np.mod(y[j], 2.0 * np.pi).tolist(), path.u0[j],
-             *dy.tolist(), path.unit_defect[j], mom_defect[j]]
+             *dy[c].tolist(), path.unit_defect[j], mom_defect[j]]
         )
     cols = (
         ["t", "x"] + [f"y{i+1}" for i in range(n)]
@@ -114,7 +114,7 @@ def cmd_green(cfg: RunConfig) -> int:
     try:
         sol = jacobi.green_stable(
             path, cfg.green_t_obs, cfg.green_tol,
-            r0=cfg.green_r0, max_doublings=cfg.green_max_doublings, drift_tol=cfg.drift_tol,
+            r0=cfg.green_r0, max_doublings=cfg.green_max_doublings,
         )
     except GreenNotConverged as exc:
         sol = exc.last_solution
@@ -143,6 +143,8 @@ def cmd_anosov_check(cfg: RunConfig) -> int:
         step=cfg.step, seed=cfg.seed, samples=cfg.samples,
         t_min=cfg.t_min, horizon=cfg.horizon,
         green_tol=cfg.green_tol, green_max_doublings=cfg.green_max_doublings,
+        # unset, the check takes its default r0 = horizon + 16
+        green_r0=cfg.green_r0 if "green_r0" in cfg._explicit else None,
         envelope_slack=cfg.envelope_slack, drift_tol=cfg.drift_tol,
         chunk_size=cfg.chunk_size, bounds=bounds,
     )

@@ -69,7 +69,6 @@ class AnosovReport:
     verdict: str
     decay_bound_ok: Optional[bool] = None
     failures: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
     def json_dict(self) -> dict:
         se, ue = self.stable_envelope, self.unstable_envelope
@@ -609,10 +608,7 @@ def run_anosov_check(
     if not series:
         report.verdict = "inconclusive"
 
-    bcheck = None
-    if bounds is not None:
-        bcheck = dominance_check(bounds, base, series, tol=1e-3)
-        report.extras["case_dominance"] = bcheck
+    bcheck = None if bounds is None else dominance_check(bounds, base, series, tol=1e-3)
     return AnosovCheckResult(
         report=report, series=series, stable_profile=stable_profile,
         unstable_profile=unstable_profile, bounds_check=bcheck,

@@ -172,26 +172,25 @@ def integrate_states(
 ):
     """Integrate geodesics from t0 to t1, with the curvature coefficients of their frames.
 
-    ``state`` holds the slice states (x, u0, s), or (x, u0, s, Y), one
-    column per sample (see the module docstring), and ``e`` (m, n) their
-    fiber directions, which only scale the momentum defect.  Returns a dict
-    of fine-grid arrays in integration order; times are monotone from t0 to
-    t1 (possibly decreasing).  With ``with_curvatures`` it holds the table
-    ``curvatures`` (J, m, 2) of (k1, k2) per node, which needs no frame (a
-    frame's coefficients come from :func:`start_frame`).  With ``store`` the
-    dict holds every series x, u0, s, Y (from 0 if ``state`` has no Y row),
-    the fiber momentum p = f s and the unit-speed defect; without it only
-    the maximum defects are kept.  ``final_state`` is the state at t1, with
-    the Y row when stored.  Raises :class:`IntegratorDrift` when a
-    conservation defect exceeds ``drift_tol``, and :class:`DomainError` when
-    a block of nodes holds a non-finite x or warp value (module docstring).
+    ``state`` holds the slice states (x, u0, s), one column per sample (see
+    the module docstring), and ``e`` (m, n) their fiber directions, which
+    only scale the momentum defect.  Returns a dict of fine-grid arrays in
+    integration order; times are monotone from t0 to t1 (possibly
+    decreasing).  With ``with_curvatures`` it holds the table ``curvatures``
+    (J, m, 2) of (k1, k2) per node, which needs no frame (a frame's
+    coefficients come from :func:`start_frame`).  With ``store`` the dict
+    holds every series x, u0, s, Y (Y = 0 at t0), the fiber momentum
+    p = f s and the unit-speed defect; without it only the maximum defects
+    are kept.  ``final_state`` is the state at t1, with the Y row when
+    stored.  Raises :class:`IntegratorDrift` when a conservation defect
+    exceeds ``drift_tol``, and :class:`DomainError` when a block of nodes
+    holds a non-finite x or warp value (module docstring).
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     S = np.array(state, dtype=float)
     m = S.shape[1]
-    Y_carry = S[3] if store and len(S) == 4 else np.zeros(m)  # Y at the next node to flush
-    S = S[:3]
+    Y_carry = np.zeros(m)  # Y at the next node to flush
     e_max = np.abs(e).max(axis=-1)
 
     span = t1 - t0

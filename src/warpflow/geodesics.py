@@ -17,6 +17,8 @@ curvature matrices are built in closed form from them on access, see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from . import engine
@@ -193,8 +195,8 @@ class GeodesicPath:
         return unit_tangent_from_direction(self.spec, self.x[j], y, self.u0[j], self.s[j] * self.e)
 
     def slice_state_at(self, j: int) -> np.ndarray:
-        """The kernel state (4, 1) with rows (x, u0, s, Y) at fine node j."""
-        return np.array([[self.x[j]], [self.u0[j]], [self.s[j]], [self.Y[j]]])
+        """The kernel state (3, 1) with rows (x, u0, s) at fine node j, for ``engine.integrate_states``."""
+        return np.array([[self.x[j]], [self.u0[j]], [self.s[j]]])
 
     def frame_fields(self, j=slice(None)) -> tuple:
         """The frame rows (alpha, beta) at fine nodes j (default: all): alpha = -c s, beta = w + c (u0 e)."""
@@ -217,87 +219,19 @@ class GeodesicPath:
 _SERIES = ("times_fine", "x", "u0", "s", "Y", "p", "curvatures", "unit_defect")
 
 
-def _squeeze_run(run: dict, reverse: bool) -> dict:
-    """The series of a stored single-sample run, in time order."""
-    sl = slice(None, None, -1) if reverse else slice(None)
-    view = {key: run[key][sl, 0].copy() for key in _SERIES[1:]}
-    view["times_fine"] = run["times_fine"][sl].copy()
-    return view
-
-
 def integrate_geodesic(
     spec: WarpSpec,
     theta0: UnitTangent,
     t_end: float,
     step: float = 1e-3,
     *,
-    drift_tol: float = 1e-7,
+    drift_tol: Optional[float] = 1e-7,
 ) -> GeodesicPath:
     """Integrate the geodesic through theta0 over [0, t_end] (t_end may be negative).
 
-    Classic fixed-step RK4 on the half-step grid; the node invariants (unit
-    speed, momentum conservation) are tracked and a drift beyond
-    ``drift_tol`` raises :class:`IntegratorDrift`.
+    The window [min(0, t_end), max(0, t_end)] of :func:`integrate_window`.
     """
-    u0, u = theta0.frame_velocity(spec)
-    t_end = np.sign(t_end) * round(abs(t_end) / step) * step  # snap to the grid
-    state, e = engine.slice_state(theta0.x, u0, u)
-    run = engine.integrate_states(spec, state, e, t0=0.0, t1=float(t_end), step=step, drift_tol=drift_tol)
-    reverse = t_end < 0
-    frame = tuple(part[0] for part in engine.start_frame(np.array([u0]), u[None]))
-    return GeodesicPath(
-        spec=spec,
-        theta0=theta0,
-        step=step,
-        **_squeeze_run(run, reverse),
-        frame=frame,
-        max_unit_defect=float(run["max_unit_defect"][0]),
-        max_momentum_defect=float(run["max_momentum_defect"][0]),
-        t0_index=len(run["times_fine"]) - 1 if reverse else 0,
-    )
-
-
-def _resume(path: GeodesicPath, t_lo: float, t_hi: float, drift_tol) -> GeodesicPath:
-    """The path grown to the grid window [t_lo, t_hi] by resuming RK4 from its end nodes.
-
-    Each end is continued from its stored slice state and glued on, with the
-    path's frame coefficients; defects of the new pieces are measured
-    against the path's initial momentum.  A run beyond ``drift_tol`` (None:
-    unchecked) raises :class:`IntegratorDrift`.
-    """
-    step = path.step
-    pieces = [{key: getattr(path, key) for key in _SERIES}]
-    max_unit = path.max_unit_defect
-    max_mom = path.max_momentum_defect
-    p0, e_max = path.p[path.t0_index], np.abs(path.e).max()
-    t0_index = path.t0_index
-    for j, t_target, grows in ((-1, t_hi, t_hi > path.t_hi + 1e-12), (0, t_lo, t_lo < path.t_lo - 1e-12)):
-        if not grows:
-            continue
-        run = engine.integrate_states(
-            path.spec, path.slice_state_at(j), path.e[None],
-            t0=path.times_fine[j], t1=t_target, step=step, drift_tol=drift_tol,
-        )
-        max_unit = max(max_unit, float(run["max_unit_defect"][0]))
-        defect, dead = engine._momentum_defect(run["p"][:, 0], run["s"][:, 0], p0, e_max)
-        alive = np.logical_and.accumulate(~dead)
-        max_mom = max(max_mom, float(np.max(np.where(alive, defect, 0.0))))
-        view = _squeeze_run(run, reverse=j == 0)
-        if j == 0:
-            pieces.insert(0, {key: v[:-1] for key, v in view.items()})
-            t0_index += len(view["times_fine"]) - 1
-        else:
-            pieces.append({key: v[1:] for key, v in view.items()})
-    return GeodesicPath(
-        spec=path.spec,
-        theta0=path.theta0,
-        step=step,
-        **{key: np.concatenate([piece[key] for piece in pieces], axis=0) for key in _SERIES},
-        frame=path.frame,
-        max_unit_defect=max_unit,
-        max_momentum_defect=max_mom,
-        t0_index=t0_index,
-    )
+    return integrate_window(spec, theta0, min(0.0, t_end), max(0.0, t_end), step, drift_tol=drift_tol)
 
 
 def integrate_window(
@@ -307,35 +241,44 @@ def integrate_window(
     t_hi: float,
     step: float = 1e-3,
     *,
-    drift_tol: float = 1e-7,
+    drift_tol: Optional[float] = 1e-7,
 ) -> GeodesicPath:
-    """Integrate over a window [t_lo, t_hi] containing 0, gluing the two runs at 0.
+    """Integrate the geodesic through theta0 over a window [t_lo, t_hi] containing 0.
 
-    The frame on the backward half is the backward continuation of the same
-    parallel frame, so curvature matrices and Jacobi data are consistent
-    across the joint.  Both halves are checked against ``drift_tol``.
+    Classic fixed-step RK4 on the half-step grid (the window snapped to it),
+    one kernel run from theta0 each way, glued at t = 0: each node depends
+    only on theta0 and its time, so a path over a larger window holds the
+    same nodes.  The frame on the backward half is the backward continuation
+    of the same parallel frame.  The node invariants (unit speed, momentum
+    conservation) are tracked, and a run whose drift exceeds ``drift_tol``
+    (None: unchecked) raises :class:`IntegratorDrift`.
     """
     if t_lo > 0 or t_hi < 0:
         raise DomainError("window must contain t = 0")
-    t_lo = -round(-t_lo / step) * step
-    path = integrate_geodesic(spec, theta0, t_hi, step, drift_tol=drift_tol)
-    return _resume(path, t_lo, path.t_hi, drift_tol)
+    u0, u = theta0.frame_velocity(spec)
+    state, e = engine.slice_state(theta0.x, u0, u)
+    back, fwd = (
+        engine.integrate_states(spec, state, e, t0=0.0, t1=t1, step=step, drift_tol=drift_tol)
+        for t1 in (-round(-t_lo / step) * step, round(t_hi / step) * step)
+    )
 
+    def glued(key):
+        """The backward run reversed up to t = 0, then the forward run."""
+        b, f = back[key], fwd[key]
+        if key != "times_fine":
+            b, f = b[:, 0], f[:, 0]
+        return np.concatenate([b[:0:-1], f])
 
-def extend_path(path: GeodesicPath, t_lo: float, t_hi: float) -> GeodesicPath:
-    """A new path covering [t_lo, t_hi], resuming integration from the stored ends.
-
-    Resumed RK4 from a stored node state reproduces the arithmetic of one
-    uninterrupted run, so the extension is exact; the input path is left
-    untouched.  Extensions are not checked against a drift tolerance; their
-    defects enter ``max_unit_defect`` and ``max_momentum_defect``.
-    """
-    step = path.step
-    t_lo = -round(-min(t_lo, path.t_lo) / step) * step
-    t_hi = round(max(t_hi, path.t_hi) / step) * step
-    if t_lo >= path.t_lo - 1e-12 and t_hi <= path.t_hi + 1e-12:
-        return path
-    return _resume(path, t_lo, t_hi, None)
+    return GeodesicPath(
+        spec=spec,
+        theta0=theta0,
+        step=step,
+        **{key: glued(key) for key in _SERIES},
+        frame=tuple(part[0] for part in engine.start_frame(np.array([u0]), u[None])),
+        max_unit_defect=float(max(run["max_unit_defect"][0] for run in (back, fwd))),
+        max_momentum_defect=float(max(run["max_momentum_defect"][0] for run in (back, fwd))),
+        t0_index=len(back["times_fine"]) - 1,
+    )
 
 
 def scalar_velocity_series(

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import engine
 from .errors import ConjugatePointDetected, DomainError, GreenNotConverged, VanishingJacobiField
-from .geodesics import GeodesicPath, extend_path
+from .geodesics import GeodesicPath, integrate_window
 
 
 @dataclass
@@ -201,29 +201,36 @@ def _bracket_bound(width: np.ndarray, step: float, zero: int) -> np.ndarray:
 def _path_sweeps(path: GeodesicPath, lo_t: float, hi_t: float) -> tuple:
     """Sweeps at m = 1 onto the grid window [lo_t, hi_t], which must contain t = 0.
 
-    Returns the driver, the path extended over the window (only) and the
-    window's times.
+    Returns the driver, a path that covers the window and the window's
+    times.  That path is ``path`` itself when it covers the window, and
+    otherwise one run of :func:`~warpflow.geodesics.integrate_window` from
+    ``path.theta0`` over both, without a drift check; it holds the nodes of
+    ``path`` unchanged.
     """
     step = path.step
     lo, hi = round(lo_t / step), round(hi_t / step)
     if not lo <= 0 <= hi:
         raise DomainError("output window must contain t = 0")
-    wpath = extend_path(path, lo * step, hi * step)
+    first, last = -(path.t0_index // 2), (len(path.times_fine) - 1 - path.t0_index) // 2
+    wpath = path
+    if lo < first or hi > last:
+        wpath = integrate_window(
+            path.spec, path.theta0, min(lo, first) * step, max(hi, last) * step, step, drift_tol=None
+        )
     zero = wpath.coarse_index(0.0)
-    ends = [wpath.slice_state_at(j)[:3] for j in (0, -1)]
+    ends = [wpath.slice_state_at(j) for j in (0, -1)]
     table = wpath.curvatures[:, None, : min(path.n, 2)]
     sweeps = _Sweeps(path.spec, step, wpath.e[None], table, zero, ends, (lo, hi), np.zeros(1))
     return sweeps, wpath, wpath.times[zero + lo : zero + hi + 1].copy()
 
 
-def solve_boundary(path: GeodesicPath, r: float, *, drift_tol: float = 1e-7) -> MatrixJacobiSolution:
+def solve_boundary(path: GeodesicPath, r: float) -> MatrixJacobiSolution:
     """The two-point solution Y(0) = I, Y(r) = 0, sampled on the path grid.
 
     Past the path the coefficient table is grown (integration resumed from
     its ends) up to r, and the path is not; the growth is not drift-checked,
-    so ``drift_tol`` has no effect, and its largest unit-speed defect is
-    ``meta["growth_unit_defect"]``.  The endpoint condition holds exactly by
-    construction.
+    and its largest unit-speed defect is ``meta["growth_unit_defect"]``.
+    The endpoint condition holds exactly by construction.
     """
     r_snap = round(r / path.step) * path.step
     if r_snap == 0.0:
@@ -312,7 +319,6 @@ def green_stable(
     r0: float = 8.0,
     max_doublings: int = 12,
     window: Optional[tuple] = None,
-    drift_tol: float = 1e-7,
 ) -> MatrixJacobiSolution:
     """Limit of two-point solutions Y(0)=I, Y(r)=0 as r doubles upward.
 
@@ -324,9 +330,10 @@ def green_stable(
     automatically so every rung lies beyond the observation window.  On
     failure to certify within ``max_doublings`` doublings,
     :class:`GreenNotConverged` carries the last iterate and the bounds.
-    The solution's path ends at the window: past it only the coefficient
-    table grows, without a drift check, so ``drift_tol`` has no effect here;
-    the growth's largest unit-speed defect is ``meta["growth_unit_defect"]``.
+    A window that leaves the path is integrated from the path's start datum
+    without a drift check, and the solution's path ends at the window: past
+    it only the coefficient table grows, also unchecked; the growth's
+    largest unit-speed defect is ``meta["growth_unit_defect"]``.
     """
     return _green_limit(path, +1, t_obs, tol, r0, max_doublings, window or (0.0, t_obs))
 
@@ -338,12 +345,10 @@ def green_unstable(
     *,
     r0: float = 8.0,
     max_doublings: int = 12,
-    drift_tol: float = 1e-7,
 ) -> MatrixJacobiSolution:
     """Limit of two-point solutions with vanishing end r -> -inf, on [0, t_obs].
 
-    The two-point solves anchor at negative r; otherwise as
-    :func:`green_stable`, so ``drift_tol`` has no effect.
+    The two-point solves anchor at negative r; otherwise as :func:`green_stable`.
     """
     return _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
 

@@ -145,7 +145,7 @@ def test_criterion_04_counterexample_reproduction(specs):
     spec = specs["counter"]
     th = unit_tangent_from_direction(spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
     path = integrate_geodesic(spec, th, 440.0, 0.02, drift_tol=1e-4)
-    sol = solve_boundary(path, 1024.0, drift_tol=1e-3)
+    sol = solve_boundary(path, 1024.0)
     series = averaged_curvature(path, sol, np.array([1.0, 0.0]))
 
     t = 100.0
@@ -215,7 +215,7 @@ def anosov_green(specs):
     spec = specs["anosov"]
     th = unit_tangent_from_direction(spec, 0.2, np.zeros(2), 0.3, [0.8, 0.52])
     path = integrate_geodesic(spec, th, 8.0, 1e-3, drift_tol=1e-7)
-    sol = green_stable(path, t_obs=8.0, tol=1e-8, drift_tol=1e-7)
+    sol = green_stable(path, t_obs=8.0, tol=1e-8)
     return spec, path, sol
 
 
@@ -256,7 +256,7 @@ def test_criterion_07_invariant_suite(specs, anosov_green):
     assert np.all(np.abs(sol.det_series()) > 0.0)
     assert np.min(svals[:, -1] / svals[:, 0]) > 1e-10
 
-    gu = green_unstable(path, t_obs=6.0, tol=1e-8, drift_tol=1e-6)
+    gu = green_unstable(path, t_obs=6.0, tol=1e-8)
     worst_decrease = np.inf
     for w in (np.array([1.0, 0.0]), np.array([0.3, -0.95])):
         worst_decrease = min(worst_decrease, float(np.min(np.diff(gu.field_norms(w)))))

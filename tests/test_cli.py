@@ -226,6 +226,16 @@ class TestAnosovCheckCommand:
         assert normalized_json(out1 / "anosov_report.json") == normalized_json(out2 / "anosov_report.json")
         assert normalized(out1 / "anosov_series.csv") == normalized(out2 / "anosov_series.csv")
 
+    def test_green_r0_from_config_file_is_used(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[run]\ngreen_r0 = 1\n")
+        rc = main([
+            "anosov-check", "--config", str(cfg_file), "--scenario", "constant-curvature",
+            "--samples", "2", "--tmin", "1", "--horizon", "2", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: green_r0 = 1.0 must lie beyond the horizon 2.0\n"
+
     def test_not_anosov_exit_code_zero(self, tmp_path):
         out = tmp_path / "o"
         rc = main([

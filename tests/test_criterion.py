@@ -35,7 +35,7 @@ class TestAveragedCurvature:
 
         th = unit_tangent_from_direction(counter_spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(counter_spec, th, 100.0, 0.01, drift_tol=1e-5)
-        sol = solve_boundary(path, 800.0, drift_tol=1e-3)
+        sol = solve_boundary(path, 800.0)
         series = averaged_curvature(path, sol, np.array([1.0, 0.0]))
         t = 100.0
         exact = -(np.arctan(t) + t / (1 + t * t)) / (2.0 * t)
@@ -48,7 +48,7 @@ class TestAveragedCurvature:
         bounds = scenario_bounds(anosov_spec)
         th = unit_tangent_from_direction(anosov_spec, 0.8, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(anosov_spec, th, 9.0 * np.pi, 0.01)
-        sol = green_stable(path, t_obs=9.0 * np.pi, tol=1e-8, drift_tol=1e-6)
+        sol = green_stable(path, t_obs=9.0 * np.pi, tol=1e-8)
         series = averaged_curvature(path, sol, np.array([1.0, 0.0]))
         mask = series.times > 2.0 * bounds.T
         assert np.all(series.values[mask] <= -bounds.eta / (2.0 * bounds.T) + 1e-6)
@@ -56,7 +56,7 @@ class TestAveragedCurvature:
     def test_matrix_route_matches_geometric_route(self, anosov_spec):
         th = unit_tangent_from_direction(anosov_spec, 0.2, np.zeros(2), 0.3, [0.8, 0.52])
         path = integrate_geodesic(anosov_spec, th, 6.0, 0.005, drift_tol=1e-6)
-        sol = green_stable(path, t_obs=6.0, tol=1e-8, drift_tol=1e-6)
+        sol = green_stable(path, t_obs=6.0, tol=1e-8)
         w = sasaki_orthonormal_directions(sol.meta["Us0"])[:, 0]
         series = averaged_curvature(path, sol, w)
         ric = riccati_along(sol, w)
@@ -95,7 +95,7 @@ class TestEstimateB:
 
         th = unit_tangent_from_direction(counter_spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(counter_spec, th, 440.0, 0.02, drift_tol=1e-4)
-        sol = solve_boundary(path, 1024.0, drift_tol=1e-3)
+        sol = solve_boundary(path, 1024.0)
         series = averaged_curvature(path, sol, np.array([1.0, 0.0]))
         levels = []
         for t_min in (50.0, 100.0, 200.0, 400.0):
@@ -301,7 +301,7 @@ class TestDominance:
         bounds = scenario_bounds(anosov_spec)
         th = unit_tangent_from_direction(anosov_spec, 0.8, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(anosov_spec, th, 16.0 * np.pi, 0.01)
-        sol = green_stable(path, t_obs=16.0 * np.pi, tol=1e-8, drift_tol=1e-6)
+        sol = green_stable(path, t_obs=16.0 * np.pi, tol=1e-8)
         series = averaged_curvature(path, sol, np.array([1.0, 0.0]))
         check = dominance_check(bounds, [th], [series])
         assert check["ok"]

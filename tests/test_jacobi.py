@@ -5,7 +5,7 @@ import pytest
 
 from warpflow import scenarios
 from warpflow.errors import DomainError, GreenNotConverged, VanishingJacobiField
-from warpflow.geodesics import flip, integrate_geodesic, unit_tangent_from_direction
+from warpflow.geodesics import flip, integrate_geodesic, integrate_window, unit_tangent_from_direction
 from warpflow.geometry import TangentVector, sectional_curvature
 from warpflow.jacobi import (
     dphi_norm,
@@ -197,7 +197,7 @@ class TestBoundarySolutions:
         th = unit_tangent_from_direction(counter_spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(counter_spec, th, 10.0, 0.05, drift_tol=1e-4)
         with pytest.raises(GreenNotConverged) as err:
-            green_stable(path, t_obs=10.0, tol=1e-10, r0=32.0, max_doublings=4, drift_tol=1e-3)
+            green_stable(path, t_obs=10.0, tol=1e-10, r0=32.0, max_doublings=4)
         gaps = err.value.gaps
         assert len(gaps) >= 3
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -222,7 +222,7 @@ class TestGreenStable:
 
     def test_nonvanishing_and_monotone_norms(self, anosov_spec):
         path = _generic_anosov_path(anosov_spec)
-        sol = green_stable(path, t_obs=8.0, tol=1e-8, drift_tol=1e-6)
+        sol = green_stable(path, t_obs=8.0, tol=1e-8)
         dets = np.abs(sol.det_series())
         assert np.all(dets > 0.0)
         for w in (np.array([1.0, 0.0]), np.array([0.5, 0.5])):
@@ -232,7 +232,7 @@ class TestGreenStable:
     def test_initial_slope_symmetric(self, anosov_spec):
         # limit two-point solutions carry a symmetric initial slope matrix
         path = _generic_anosov_path(anosov_spec, t_end=6.0)
-        sol = green_stable(path, t_obs=6.0, tol=1e-8, drift_tol=1e-6)
+        sol = green_stable(path, t_obs=6.0, tol=1e-8)
         U = sol.meta["Us0"]
         assert np.max(np.abs(U - U.T)) < 1e-9
 
@@ -259,7 +259,7 @@ class TestGreenStable:
         # at rate t_obs / r
         th = unit_tangent_from_direction(counter_spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(counter_spec, th, 20.0, 0.1, drift_tol=1e-3)
-        sol = solve_boundary(path, 1500.0, drift_tol=1e-2)
+        sol = solve_boundary(path, 1500.0)
         for t in (0.0, 5.0, 10.0, 20.0):
             exact = (2.0 / np.pi) * np.sqrt(1 + t * t) * (np.pi / 2.0 - np.arctan(t))
             assert sol.Y[sol.index_of(t)][0, 0] == pytest.approx(exact, abs=2.5 * 20.0 / 1500.0)
@@ -309,7 +309,7 @@ class TestGreenUnstable:
 
     def test_norms_non_decreasing(self, anosov_spec):
         path = _generic_anosov_path(anosov_spec, t_end=6.0)
-        sol = green_unstable(path, t_obs=6.0, tol=1e-8, drift_tol=1e-6)
+        sol = green_unstable(path, t_obs=6.0, tol=1e-8)
         for w in (np.array([1.0, 0.0]), np.array([0.2, 0.98])):
             assert np.all(np.diff(sol.field_norms(w)) >= -1e-9)
 
@@ -320,6 +320,33 @@ class TestGreenUnstable:
         for errors in _pole_limit_errors(anosov_spec, green_unstable, b0):
             assert errors[0] < 1e-5
             assert errors[0] / errors[1] >= 12.0
+
+
+class TestWindowPastThePath:
+    @pytest.mark.parametrize("name", sorted(ROUTE_DATA))
+    @pytest.mark.parametrize("limit, window", [(green_stable, (-3.0, 6.0)), (green_unstable, (0.0, 6.0))],
+                             ids=["stable", "unstable"])
+    def test_short_path_gives_the_bits_of_a_covering_path(self, name, limit, window):
+        # a window that leaves the path is integrated again from the start
+        # datum, whose nodes do not depend on the window
+        build, (x0, b0, u), step, drift, doublings, converges = ROUTE_DATA[name]
+        spec = build()
+        th = unit_tangent_from_direction(spec, x0, np.zeros(spec.n), b0, u)
+        short = integrate_geodesic(spec, th, 2.0, step, drift_tol=drift)
+        full = integrate_window(spec, th, *window, step, drift_tol=drift)
+        kw = dict(t_obs=6.0, tol=1e-9, max_doublings=doublings)
+        if limit is green_stable:
+            kw["window"] = window
+        (a, ok_a), (b, ok_b) = (_limit(limit, path, **kw) for path in (short, full))
+        assert ok_a == ok_b == converges
+        assert short.t_hi < a.path.t_hi == b.path.t_hi
+        for key in ("times", "Y", "Yp"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), key
+        for mode_a, mode_b in zip(a.modes, b.modes):
+            assert np.array_equal(mode_a, mode_b)
+        assert a.meta.keys() == b.meta.keys()
+        for key in a.meta:  # the ladder, its gaps and U(0)
+            assert np.array_equal(a.meta[key], b.meta[key]), key
 
 
 class TestRiccati:
@@ -340,7 +367,7 @@ class TestRiccati:
     def test_bound_and_residual_on_scenario(self, anosov_spec):
         th = unit_tangent_from_direction(anosov_spec, 0.2, np.zeros(2), 0.3, [0.8, 0.52])
         path = integrate_geodesic(anosov_spec, th, 8.0, 1e-3, drift_tol=1e-7)
-        sol = green_stable(path, t_obs=8.0, tol=1e-8, drift_tol=1e-7)
+        sol = green_stable(path, t_obs=8.0, tol=1e-8)
         c = np.sqrt(anosov_spec.curvature_bound())
         dirs = sasaki_orthonormal_directions(sol.meta["Us0"])
         for i in range(2):
@@ -418,7 +445,7 @@ class TestPropositionBounds:
             th = unit_tangent_from_direction(spec, 0.3, np.zeros(2), 0.2, [0.6, 0.77])
             path = integrate_geodesic(spec, th, 10.0, step, drift_tol=drift)
             try:
-                sol = green_stable(path, t_obs=10.0, tol=1e-8, max_doublings=6, drift_tol=drift)
+                sol = green_stable(path, t_obs=10.0, tol=1e-8, max_doublings=6)
             except GreenNotConverged as err:
                 sol = err.last_solution
             for _ in range(10):

@@ -1,4 +1,4 @@
-"""``scripts/same_bits.py``: the check workloads' reports of two source trees, compared."""
+"""``scripts/same_bits.py``: the check workloads' reports and single-path results of two source trees, compared."""
 import importlib.util
 from pathlib import Path
 
@@ -18,8 +18,9 @@ def test_same_tree_is_same(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "same bits"
     assert {line for line in lines if line.startswith("==")} == {
-        "== periodic-check/seed0", "== counterexample-check/seed0"}
+        "== periodic-check/seed0", "== counterexample-check/seed0", "== single-path/seed0"}
     assert (tmp_path / "change" / "periodic-check" / "seed0" / "anosov_report.json").is_file()
+    assert (tmp_path / "change" / "single-path" / "seed0" / "request3.json").is_file()
 
 
 def test_not_a_tree(tmp_path):

@@ -140,7 +140,7 @@ def test_single_sample_reductions_match_matrix_oracle(name, n):
     sols = [solve_boundary(path, 20.0)]
     for limit in (green_stable, green_unstable):
         try:
-            sols.append(limit(path, t_obs=6.0, tol=1e-8, max_doublings=1, drift_tol=1e-4))
+            sols.append(limit(path, t_obs=6.0, tol=1e-8, max_doublings=1))
         except GreenNotConverged as exc:  # the counterexample's ladder does not converge
             sols.append(exc.last_solution)
     w = np.linspace(1.0, -0.5, n)

@@ -5,7 +5,7 @@ import pytest
 from sweep_oracle import matrix_boundary_solve
 from warpflow import criterion, engine, scenarios
 from warpflow.criterion import sample_thetas
-from warpflow.geodesics import extend_path, integrate_geodesic, unit_tangent_from_direction
+from warpflow.geodesics import integrate_geodesic, unit_tangent_from_direction
 
 C_UNIT = np.array([[0.6, 0.8]])
 
@@ -43,9 +43,8 @@ def test_constant_curvature_two_point_solution(step, r, out_hi, rescaled):
 
 def test_single_sample_matches_matrix_sweep(anosov_spec):
     th = unit_tangent_from_direction(anosov_spec, 0.4, np.zeros(2), -0.3, [0.6, 0.742])
-    path = integrate_geodesic(anosov_spec, th, 8.0, 0.01, drift_tol=1e-5)
     for r in (20.0, 64.0):
-        wpath = extend_path(path, 0.0, r)
+        wpath = integrate_geodesic(anosov_spec, th, r, 0.01, drift_tol=None)
         anchor = wpath.coarse_index(r)
         y, yp, _ = engine.boundary_solve(wpath.curvatures[:, None], 0.01, anchor, 0, 0, 800)
         Y, Yp = (engine.split_matrix(a, wpath.c[None]) for a in (y, yp))
