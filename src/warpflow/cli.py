@@ -9,7 +9,7 @@ import numpy as np
 from . import jacobi
 from .config import RunConfig, build_config
 from .criterion import run_anosov_check
-from .errors import DomainError, GreenNotConverged
+from .errors import DomainError, GreenNotConverged, IntegratorDrift
 from .geodesics import integrate_geodesic, unit_tangent_from_direction
 from .geometry import TangentVector, sectional_curvature
 from .reports import write_csv, write_json
@@ -109,7 +109,8 @@ def cmd_green(cfg: RunConfig) -> int:
     cfg.apply_preset({key: preset[key] for key in _GREEN_PRESET_KEYS})
     spec = _spec_from(cfg)
     theta = _theta_from(cfg, spec)
-    path = integrate_geodesic(spec, theta, min(cfg.t_end, cfg.green_t_obs), cfg.step, drift_tol=cfg.drift_tol)
+    # the ladder's window [0, t_obs] is the path, integrated once and drift-checked
+    path = integrate_geodesic(spec, theta, cfg.green_t_obs, cfg.step, drift_tol=cfg.drift_tol)
     converged = True
     try:
         sol = jacobi.green_stable(
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     mapping = {key: getattr(args, key, None) for key in _FLAG_KEYS}
     try:
         return args.func(build_config(args.config, mapping))
-    except (DomainError, OSError) as exc:
+    except (DomainError, IntegratorDrift, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -505,8 +505,11 @@ def run_anosov_check(
     integrated once and its results serve both sides.  The distinct data are
     cut into chunks of ``chunk_size``, run one after the other; the ladder
     and the sweep rescaling decide per sample, so per-sample results do not
-    depend on ``chunk_size``.  ``workers`` is accepted for compatibility and
-    starts no threads.
+    depend on ``chunk_size``.  Each sample's ladder runs at most
+    ``green_max_doublings`` doublings from ``green_r0`` and stops sooner,
+    as a ``green_gap`` failure, once its bounds' decay cannot reach
+    ``green_tol`` in the doublings left (see :func:`~warpflow.jacobi._ladder`).
+    ``workers`` is accepted for compatibility and starts no threads.
     """
     horizon = round(horizon / step) * step
     if not horizon > 0:

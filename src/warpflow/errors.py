@@ -33,8 +33,11 @@ class ConjugatePointDetected(RuntimeError):
 class GreenNotConverged(RuntimeError):
     """Raised when no rung of the r-ladder for a stable/unstable solution is certified.
 
-    ``last_solution`` holds the final iterate, ``gaps`` the Dirichlet-Neumann
-    bracket bound of each rung (see ``jacobi._bracket_bound``).
+    The ladder ends after its last allowed doubling or sooner, once the
+    bounds' decay cannot reach the tolerance in the doublings left (see
+    ``jacobi._ladder``).  ``last_solution`` holds the final iterate,
+    ``gaps`` the Dirichlet-Neumann bracket bound of each rung run (see
+    ``jacobi._bracket_bound``).
     """
 
     def __init__(self, message, last_solution=None, gaps=None):

@@ -258,9 +258,22 @@ def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: floa
     sample is frozen at the first rung whose bound is below ``tol`` and
     keeps that rung's (y, y') and bound, so its result does not depend on
     the other samples.  Later rungs run only for the samples still live,
-    until none is or after ``max_doublings`` doublings.  Returns the kept
-    (y, y'), the rungs run and one array of per-sample bounds per rung, in
-    which a frozen sample repeats its final bound.
+    until none is, for at most ``max_doublings`` doublings.
+
+    From the second rung on, a live sample with finite bounds b_prev and b
+    at its last two rungs also stops, uncertified, when its decay cannot
+    reach ``tol`` in the j doublings left: under uniform contraction the
+    bracket width decays like e^{-2 mu (r - t)}, so at the rate the last
+    doubling showed, rho = min(1, b / b_prev), each further doubling squares
+    the factor, and the sample stops if b rho^(2^(j+1) - 2) >= tol.  It
+    keeps this rung's (y, y') and bound, as if it had run out of doublings.
+    A slower decay, such as the counterexample's 1/r, only makes later
+    bounds larger.  If the decay speeds up past the observed rate, a sample
+    that a later rung would certify is reported uncertified; the rule never
+    certifies anything the bracket did not.
+
+    Returns the kept (y, y'), the rungs run and one array of per-sample
+    bounds per rung, in which a frozen sample repeats its final bound.
     """
     if max_doublings < 0:
         raise DomainError("max_doublings must be >= 0")
@@ -268,7 +281,7 @@ def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: floa
     live = np.arange(m)
     rungs, gaps = [], []
     y = yp = None
-    for _ in range(max_doublings + 1):
+    for left in range(max_doublings, -1, -1):
         yr, ypr, bound = solve(r, live)
         rungs.append(r)
         if y is None:
@@ -277,7 +290,13 @@ def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: floa
             y[:, live], yp[:, live] = yr, ypr
         gaps.append(gaps[-1].copy() if gaps else np.empty(m))
         gaps[-1][live] = bound
-        live = live[~(bound < tol)]
+        done = bound < tol
+        if len(gaps) > 1:
+            prev = gaps[-2][live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = bound * np.minimum(1.0, bound / prev) ** (np.ldexp(1.0, left + 1) - 2.0)
+            done |= np.isfinite(prev) & np.isfinite(bound) & (reach >= tol)
+        live = live[~done]
         if len(live) == 0:
             break
         r = round(2.0 * r / step) * step
@@ -327,9 +346,12 @@ def green_stable(
     iterate whose bound is below ``tol`` is returned, and ``meta["gaps"]``
     holds the bound of every rung.  The bound certifies the limit where the
     curvature is non-positive (condition (A)).  ``r0`` is raised
-    automatically so every rung lies beyond the observation window.  On
-    failure to certify within ``max_doublings`` doublings,
-    :class:`GreenNotConverged` carries the last iterate and the bounds.
+    automatically so every rung lies beyond the observation window.  The
+    ladder runs at most ``max_doublings`` doublings, and stops sooner when
+    the bounds' decay cannot reach ``tol`` in the doublings left (see
+    :func:`_ladder`; a decay that speeds up later is the one case this
+    misses).  On failure to certify, :class:`GreenNotConverged` carries the
+    last iterate and the bounds.
     A window that leaves the path is integrated from the path's start datum
     without a drift check, and the solution's path ends at the window: past
     it only the coefficient table grows, also unchecked; the growth's
@@ -348,7 +370,8 @@ def green_unstable(
 ) -> MatrixJacobiSolution:
     """Limit of two-point solutions with vanishing end r -> -inf, on [0, t_obs].
 
-    The two-point solves anchor at negative r; otherwise as :func:`green_stable`.
+    The two-point solves anchor at negative r; otherwise as :func:`green_stable`,
+    including the ladder's early stop of a bracket that cannot reach ``tol``.
     """
     return _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
 

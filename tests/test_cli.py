@@ -181,6 +181,33 @@ class TestJacobiAndGreenCommands:
         assert "config" in payload
 
 
+    def test_green_integrates_the_window_once_with_the_drift_check(self, tmp_path, monkeypatch):
+        from warpflow import engine
+
+        runs = []
+        integrate = engine.integrate_states
+
+        def recording(*args, **kwargs):
+            if kwargs.get("store", True) and kwargs["t1"] != kwargs["t0"]:
+                runs.append((kwargs["t0"], kwargs["t1"], kwargs.get("drift_tol")))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "integrate_states", recording)
+        # defaults t_end 10 and t_obs 20; the preset's drift_tol is 1e-5
+        rc = main(["green", "--scenario", "anosov-warped-torus", "--x0", "0.4", "--b0", "0.3",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert runs == [(0.0, pytest.approx(20.0), 1e-5)]
+
+    def test_green_drift_is_an_error_exit(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[run]\ndrift_tol = 1e-15\n")
+        rc = main(["green", "--config", str(cfg_file), "--scenario", "anosov-warped-torus",
+                   "--x0", "0.4", "--b0", "0.3", "--tobs", "2", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: conserved-quantity drift beyond 1e-15")
+
+
 class TestScenarioBoundsCommand:
     def test_periodic_payload(self, tmp_path):
         out = tmp_path / "o"

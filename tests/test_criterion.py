@@ -220,12 +220,21 @@ class TestVerdicts:
         for sa, sb in zip(a.series, b.series):
             assert np.array_equal(sa.values, sb.values)
 
-    def test_chunk_size_does_not_change_results(self, anosov_spec):
+    def test_chunk_size_does_not_change_results(self, anosov_spec, counter_spec):
         # seed 3 mixes pole and oblique data; every sample certifies at the
         # second rung (r = 8), whose sweeps are rescaled while the first's are not
-        kw = dict(step=0.02, seed=3, samples=6, t_min=1.5, horizon=2.0, green_r0=4.0,
-                  green_tol=1e-8, drift_tol=1e-5, workers=1)
-        runs = [run_anosov_check(anosov_spec, chunk_size=size, **kw) for size in (1, 3, 28)]
+        periodic = dict(step=0.02, seed=3, samples=6, t_min=1.5, horizon=2.0, green_r0=4.0,
+                        green_tol=1e-8, drift_tol=1e-5)
+        # every counterexample ladder stops uncertified after its second rung,
+        # its decay out of reach of the tolerance in the one doubling left
+        counter = dict(step=0.1, seed=0, samples=6, t_min=10.0, horizon=12.0,
+                       green_tol=1e-4, green_max_doublings=2, drift_tol=1e-3)
+        for spec, kw in ((anosov_spec, periodic), (counter_spec, counter)):
+            self._check_chunk_sizes(spec, kw)
+
+    @staticmethod
+    def _check_chunk_sizes(spec, kw):
+        runs = [run_anosov_check(spec, chunk_size=size, workers=1, **kw) for size in (1, 3, 28)]
         ref = runs[0]
         for other in runs[1:]:
             assert np.array_equal(ref.report.B_est, other.report.B_est)

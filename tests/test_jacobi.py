@@ -8,6 +8,8 @@ from warpflow.errors import DomainError, GreenNotConverged, VanishingJacobiField
 from warpflow.geodesics import flip, integrate_geodesic, integrate_window, unit_tangent_from_direction
 from warpflow.geometry import TangentVector, sectional_curvature
 from warpflow.jacobi import (
+    _ladder,
+    _path_sweeps,
     dphi_norm,
     dphi_norm_series,
     green_stable,
@@ -196,11 +198,80 @@ class TestBoundarySolutions:
     def test_ladder_gaps_shrink_monotonically(self, counter_spec):
         th = unit_tangent_from_direction(counter_spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
         path = integrate_geodesic(counter_spec, th, 10.0, 0.05, drift_tol=1e-4)
+        sweeps = _path_sweeps(path, 0.0, 10.0)[0]
+        gaps = [sweeps.solve(r, np.arange(1))[2][0] for r in (32.0, 64.0, 128.0, 256.0, 512.0)]
+        assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+        # the bracket shrinks like 1/r, which no doubling left can bring to 1e-10
         with pytest.raises(GreenNotConverged) as err:
             green_stable(path, t_obs=10.0, tol=1e-10, r0=32.0, max_doublings=4)
-        gaps = err.value.gaps
-        assert len(gaps) >= 3
-        assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+        assert len(err.value.gaps) == 2
+
+
+def _fake_solve(*bound_of):
+    """A ``solve(r, live)`` for :func:`_ladder` whose sample k has bound ``bound_of[k](r)`` and modes r, -r."""
+    def solve(r, live):
+        y = np.full((3, len(live), 1), r)
+        return y, -y, np.array([bound_of[k](r) for k in live])
+
+    return solve
+
+
+def _exp_bound(r):
+    return np.exp(-r)
+
+
+def _inverse_bound(r):
+    return 1.0 / r
+
+
+class TestLadderStoppingRule:
+    def test_exponential_decay_runs_like_plain_doubling(self):
+        # e^{-r} certifies at the fourth rung, as every doubling would
+        (y, yp), rungs, gaps = _ladder(_fake_solve(_exp_bound), 1, 1.0, 0.5, 6, 1e-3)
+        assert rungs == [1.0, 2.0, 4.0, 8.0]
+        assert [g[0] for g in gaps] == [np.exp(-r) for r in rungs]
+        assert np.all(y == 8.0) and np.all(yp == -8.0)
+
+    def test_inverse_decay_stops_when_tol_is_out_of_reach(self):
+        # 1/r: after r = 8, three doublings at the observed rate 1/2 reach only 0.125 * 2^-14
+        (y, yp), rungs, gaps = _ladder(_fake_solve(_inverse_bound), 1, 1.0, 0.5, 6, 1e-8)
+        assert rungs == [1.0, 2.0, 4.0, 8.0]
+        assert [g[0] for g in gaps] == [1.0, 0.5, 0.25, 0.125]
+        assert np.all(y == 8.0) and np.all(yp == -8.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_bound_never_stops(self, bad):
+        # a constant bound stops at the second rung; with a non-finite bound at
+        # every rung, or at every other one, no rung follows two finite bounds
+        _, rungs, _ = _ladder(_fake_solve(lambda r: 1.0), 1, 1.0, 0.5, 6, 1e-8)
+        assert rungs == [1.0, 2.0]
+        for parity in (0, 1, None):
+            def bound(r, parity=parity):
+                return bad if parity is None or round(np.log2(r)) % 2 == parity else 1.0
+
+            _, rungs, _ = _ladder(_fake_solve(bound), 1, 1.0, 0.5, 6, 1e-8)
+            assert len(rungs) == 7
+
+    def test_mixed_batch_gives_each_sample_its_own_result(self):
+        bounds = (_exp_bound, _inverse_bound, _inverse_bound, _exp_bound)
+        (y, yp), rungs, gaps = _ladder(_fake_solve(*bounds), 4, 1.0, 0.5, 6, 1e-3)
+        for k, bound in enumerate(bounds):
+            (y1, yp1), rungs1, gaps1 = _ladder(_fake_solve(bound), 1, 1.0, 0.5, 6, 1e-3)
+            assert np.array_equal(y[:, k], y1[:, 0]) and np.array_equal(yp[:, k], yp1[:, 0])
+            assert rungs[: len(rungs1)] == rungs1
+            column = [g[k] for g in gaps]
+            assert column == [g[0] for g in gaps1] + [gaps1[-1][0]] * (len(gaps) - len(gaps1))
+        # the 1/r samples stop at r = 32, one doubling before the last allowed
+        assert rungs == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+
+    def test_counterexample_datum_stops_after_four_rungs(self, counter_spec):
+        # the counterexample's bracket shrinks like 1/r: after r = 96 the three
+        # doublings left cannot bring it to 1e-8
+        th = unit_tangent_from_direction(counter_spec, 0.5, np.zeros(2), 0.3, [1.0, 0.0])
+        path = integrate_geodesic(counter_spec, th, 8.0, 0.01)
+        with pytest.raises(GreenNotConverged) as err:
+            green_stable(path, t_obs=8.0, tol=1e-8, max_doublings=6)
+        assert err.value.last_solution.meta["r_ladder"] == [12.0, 24.0, 48.0, 96.0]
 
 
 class TestGreenStable:
@@ -245,7 +316,7 @@ class TestGreenStable:
         tracemalloc.start()
         try:
             with pytest.raises(GreenNotConverged) as err:
-                green_stable(path, t_obs=t_obs, tol=1e-10, r0=32.0, max_doublings=2)
+                green_stable(path, t_obs=t_obs, tol=1e-10, r0=64.0, max_doublings=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
