@@ -493,9 +493,7 @@ def run_anosov_check(
     drift_tol: float = 1e-5,
     workers: int = 1,
     chunk_size: int = 28,
-    series_stride: Optional[int] = None,
     bounds: Optional[ScenarioBounds] = None,
-    x_span: Optional[float] = None,
 ) -> AnosovCheckResult:
     """End-to-end averaged-curvature consistency check over a start-data sample.
 
@@ -519,11 +517,7 @@ def run_anosov_check(
     if round(green_r0 / step) <= round(horizon / step):
         # the first leg would end inside the output window, leaving its nodes past r0 unswept
         raise DomainError(f"green_r0 = {green_r0} must lie beyond the horizon {horizon}")
-    if x_span is None and spec.period is None:
-        x_span = max(10.0, horizon / 2.0)
-    if series_stride is None:
-        series_stride = max(1, int(round(0.5 / step)))
-
+    x_span = None if spec.period is not None else max(10.0, horizon / 2.0)
     base, desc = sample_thetas(spec, samples, seed, x_span=x_span)
     batch = base + [flip(th) for th in base]
     m = len(base)
@@ -537,7 +531,7 @@ def run_anosov_check(
     kwargs = dict(
         step=step, horizon=horizon, green_tol=green_tol, green_r0=green_r0,
         green_max_doublings=green_max_doublings, drift_tol=drift_tol,
-        series_stride=series_stride,
+        series_stride=max(1, int(round(0.5 / step))),
     )
     results = [_chunk_pipeline(spec, ch, **kwargs) for ch in chunks]
 

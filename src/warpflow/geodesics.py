@@ -76,6 +76,8 @@ def unit_tangent_from_direction(spec: WarpSpec, x, y, u0, u) -> UnitTangent:
     """Unit tangent from orthonormal-basis velocity components (u0, u)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     norm = float(np.sqrt(u0 * u0 + np.dot(u, u)))
+    if not 0.0 < norm < np.inf:
+        raise DomainError("zero or non-finite velocity")
     u0, u = u0 / norm, u / norm
     g = float(spec.log_derivatives(np.asarray(float(x), float))[0])
     return UnitTangent(x=float(x), y=y, dx=float(u0), dy=np.exp(-g) * u)
@@ -284,40 +286,36 @@ def integrate_window(
 def scalar_velocity_series(
     spec: WarpSpec, b0: float, t_end: float, x0: float = 0.0, step: float = 1e-3
 ):
-    """Integrate the scalar reduction b' = g'(x)(1 - b^2), x' = b.
+    """The scalar reduction b' = g'(x)(1 - b^2), x' = b, read off the geodesic kernel.
 
-    Works in the log-odds variable ell = log((1+b)/(1-b)), for which the
-    equation is ell' = 2 g'(x) and b = tanh(ell/2); this keeps the strict
-    growth bounds representable long after b saturates to 1 in double
-    precision.  Returns (times, b, ell).  The steps evaluate the warp
-    unchecked; :meth:`WarpSpec.log_derivatives` checks the visited x once at
-    the end.
+    b = u0 of one stored kernel run from the slice state (x0, b0,
+    sqrt(1 - b0^2)) at step 2 ``step``, whose half-step nodes are the output
+    grid (t_end snapped to it).  Clairaut's relation f(x) s = const with
+    s^2 = 1 - b^2 gives the log-odds ell = log((1+b)/(1-b)) as
+    sign(b) (2 log(1 + |b|) + 2 (g(x) - g(x0)) - log(1 - b0^2)), which g(x)
+    keeps growing after b rounds to 1.  Returns (times, b, ell).  The kernel
+    raises :class:`DomainError` for a bad x0 and within a block of nodes of
+    a non-finite x or warp value.
     """
-    if abs(b0) > 1.0:
+    if not abs(b0) <= 1.0:
         raise DomainError("|b0| must be <= 1")
     if not np.isfinite(x0):
         raise DomainError("non-finite x0")
     nsteps = int(round(abs(t_end) / step))
-    times = np.linspace(0.0, t_end, nsteps + 1)
+    h = -step if t_end < 0 else step
+    times = h * np.arange(nsteps + 1)
     if abs(b0) == 1.0:
-        b = np.full(nsteps + 1, b0)
-        ell = np.full(nsteps + 1, np.inf * b0)
-        return times, b, ell
-    h = np.sign(t_end) * step if t_end != 0 else step
-    xs, ells = states = np.empty((2, nsteps + 1))
-    state = np.array([float(x0), np.log((1.0 + b0) / (1.0 - b0))])
-    states[:, 0] = state
-
-    def rhs(_stage, state):
-        gp = spec.log_slope(state[:1])
-        return np.array([np.tanh(state[1] / 2.0), 2.0 * gp[0]])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(nsteps):
-            state = engine._rk4_step(rhs, state, h)
-            states[:, i + 1] = state
-        spec.log_derivatives(xs)  # raises if x left the domain of the warp
-    return times, np.tanh(ells / 2.0), ells
+        return times, np.full(nsteps + 1, b0), np.full(nsteps + 1, np.inf * b0)
+    state, e = engine.slice_state(x0, b0, [np.sqrt(1.0 - b0 * b0)])
+    # an odd step count runs one node further; that node is dropped
+    run = engine.integrate_states(
+        spec, state, e, t0=0.0, t1=2.0 * h * ((nsteps + 1) // 2), step=2.0 * step,
+        with_curvatures=False,
+    )
+    x, b = (run[key][: nsteps + 1, 0] for key in ("x", "u0"))
+    g = spec.triple(x)[0]
+    ell = np.sign(b) * (2.0 * np.log1p(np.abs(b)) + 2.0 * (g - g[0]) - np.log1p(-b0 * b0))
+    return times, b, ell
 
 
 def scalar_velocity(spec: WarpSpec, b0: float, t: float, x0: float = 0.0, step: float = 1e-3) -> float:

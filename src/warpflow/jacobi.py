@@ -23,8 +23,9 @@ Dirichlet-Neumann bracket certifies the limit.  Every two-point solve, batched
 (``criterion``) or single-sample (m = 1), sweeps the table of one driver,
 :class:`_Sweeps`, which grows the (k1, k2) table past the stored data as far
 as r needs and stores no path there.  Initial-value solves march the scalar
-fundamental pairs (A_k, B_k) and assemble Y = sum_k P_k (A_k Y(0) + B_k Y'(0))
-with P_1 = c c^T, P_2 = I - c c^T; they carry no modes.
+fundamental pairs (A_k, B_k) both ways from t = 0 and assemble
+Y = sum_k P_k (A_k Y(0) + B_k Y'(0)) with P_1 = c c^T, P_2 = I - c c^T; they
+carry no modes.
 """
 from __future__ import annotations
 
@@ -103,14 +104,18 @@ def _modal_solution(path, times, y, yp, kind, **extra) -> MatrixJacobiSolution:
 
 
 def solve_jacobi_ivp(path: GeodesicPath, Y0, Yp0) -> MatrixJacobiSolution:
-    """RK4 solve of Y'' + K Y = 0 along the path with given initial data, by fundamental pairs."""
+    """RK4 solve of Y'' + K Y = 0 along the path from data (Y0, Yp0) at t = 0, by fundamental pairs."""
     n = path.n
     M = min(n, 2)  # at n = 1, I - c c^T = 0
     Y0 = np.asarray(Y0, dtype=float).reshape(n, n)
     Yp0 = np.asarray(Yp0, dtype=float).reshape(n, n)
-    last = len(path.times) - 1
+    zero, last = path.t0_index // 2, len(path.times) - 1
     F = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 1, M))  # A_k(0) = B_k'(0) = 1
-    pairs, scales = engine.scalar_march(path.curvatures[:, None, :M], path.step, 0, last, F, 0, last)
+    table = path.curvatures[:, None, :M]
+    # marched from the t = 0 node backward onto the nodes before it, then forward
+    halves = [engine.scalar_march(table, path.step, zero, stop, F, lo, hi)
+              for stop, lo, hi in ((0, 0, zero - 1), (last, zero, last))]
+    pairs, scales = (np.concatenate(parts) for parts in zip(*halves))
     # fund[t, i, j, k]: value (i = 0) or derivative (i = 1) of A_k (j = 0) or B_k (j = 1)
     fund = np.ldexp(pairs[:, :, :, 0], scales[:, None, :, 0])
     cc = np.outer(path.c, path.c)

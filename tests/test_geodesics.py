@@ -51,6 +51,12 @@ class TestUnitTangent:
         assert u0 == pytest.approx(0.6, rel=1e-12)
         assert np.allclose(u, [0.8, 0.0], rtol=1e-12)
 
+    @pytest.mark.parametrize("u0, u", [(0.0, [0.0, 0.0]), (np.nan, [0.8, 0.0]), (0.6, [np.inf, 0.0])],
+                             ids=["zero", "nan_u0", "inf_u"])
+    def test_direction_rejects_degenerate_velocity(self, anosov_spec, u0, u):
+        with pytest.raises(DomainError, match="zero or non-finite velocity"):
+            unit_tangent_from_direction(anosov_spec, 1.2, np.zeros(2), u0, u)
+
 
 class TestIntegrateGeodesic:
     def test_flat_straight_line(self):
@@ -187,6 +193,16 @@ class TestScalarVelocity:
         with pytest.raises(DomainError):
             scalar_velocity(anosov_spec, 1.5, 1.0)
 
+    def test_nan_b0_fails_before_integrating(self, anosov_spec):
+        with pytest.raises(DomainError, match=r"\|b0\|"):
+            scalar_velocity_series(anosov_spec, np.nan, 50.0, step=0.01)
+
+    def test_off_grid_t_end_snaps_to_the_step_grid(self):
+        # b = tanh t; t_end = 1 is not a multiple of 0.3, so the last node is t = 0.9
+        times, b, _ = scalar_velocity_series(_identity_warp(), 0.0, 1.0, step=0.3)
+        assert np.array_equal(times, 0.3 * np.arange(4))
+        assert np.max(np.abs(b - np.tanh(times))) < 1e-3
+
     def test_growth_sandwich_strict(self, anosov_spec):
         # log-odds form of the two-sided bound: strict at every grid time
         c1, c2 = anosov_spec.growth_bounds
@@ -199,12 +215,14 @@ class TestScalarVelocity:
             assert np.all(ell[1:] < hi)
 
     def test_matches_full_integrator(self, anosov_spec):
+        # backward, b -> -1 exercises the log1p(|b|) branch of the log-odds
         b0, x0 = 0.37, 0.8
         rest = np.sqrt(1 - b0 * b0)
         th = unit_tangent_from_direction(anosov_spec, x0, np.zeros(2), b0, [rest, 0.0])
-        path = integrate_geodesic(anosov_spec, th, 5.0, 1e-3)
-        b_scalar = scalar_velocity(anosov_spec, b0, 5.0, x0=x0, step=1e-3)
-        assert path.u0[-1] == pytest.approx(b_scalar, abs=1e-10)
+        for t_end, end in ((5.0, -1), (-5.0, 0)):
+            path = integrate_geodesic(anosov_spec, th, t_end, 1e-3)
+            b_scalar = scalar_velocity(anosov_spec, b0, t_end, x0=x0, step=1e-3)
+            assert path.u0[end] == pytest.approx(b_scalar, abs=1e-10)
 
 
 def _frame_gram(path):

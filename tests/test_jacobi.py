@@ -122,6 +122,15 @@ class TestJacobiIVP:
         for c, t in enumerate(sol.times):
             assert np.max(np.abs(sol.Y[c] - np.cosh(t) * np.eye(2))) < 1e-6
 
+    def test_initial_data_apply_at_t_zero(self, const_spec):
+        # over [-1, 1] the data hold at t = 0, not at the path's first node
+        th = unit_tangent_from_direction(const_spec, 0.0, np.zeros(2), 0.0, [1.0, 0.0])
+        path = integrate_window(const_spec, th, -1.0, 1.0, 0.01)
+        sol = solve_jacobi_ivp(path, np.eye(2), np.zeros((2, 2)))
+        assert sol.times[0] == -1.0
+        for c, t in enumerate(sol.times):
+            assert np.max(np.abs(sol.Y[c] - np.cosh(t) * np.eye(2))) < 1e-8
+
     def test_residual_and_wronskian_invariants(self, anosov_spec):
         path = _generic_anosov_path(anosov_spec)
         sol = solve_jacobi_ivp(path, np.eye(2), -np.eye(2))
