@@ -35,22 +35,21 @@ def cmd_curvature(cfg: RunConfig) -> int:
     spec = _spec_from(cfg)
     rng = np.random.RandomState(cfg.seed)
     lo, hi = spec.sample_window()
-    rows = []
     n = spec.n
-    for _ in range(cfg.samples):
-        x0 = float(rng.uniform(lo, hi))
-        vecs = rng.standard_normal((2, n + 1))
+    xs, vecs, Ks = np.empty(cfg.samples), np.empty((cfg.samples, 2, n + 1)), np.empty(cfg.samples)
+    for i in range(cfg.samples):
+        xs[i] = x0 = float(rng.uniform(lo, hi))
+        vecs[i] = rng.standard_normal((2, n + 1))
         y0 = np.zeros(n)
-        u = TangentVector(x=x0, y=y0, dx=vecs[0, 0], dy=vecs[0, 1:])
-        w = TangentVector(x=x0, y=y0, dx=vecs[1, 0], dy=vecs[1, 1:])
-        K = sectional_curvature(spec, (x0, y0), u, w)
-        rows.append([x0, u.dx, *u.dy.tolist(), w.dx, *w.dy.tolist(), K])
+        u, w = (TangentVector(x=x0, y=y0, dx=v[0], dy=v[1:]) for v in vecs[i])
+        Ks[i] = sectional_curvature(spec, (x0, y0), u, w)
     cols = (
         ["x", "u_dx"] + [f"u_dy{i+1}" for i in range(n)]
         + ["w_dx"] + [f"w_dy{i+1}" for i in range(n)] + ["K"]
     )
-    path = write_csv(f"{cfg.out}/curvature.csv", cols, rows, cfg.resolved_dict())
-    print(f"wrote {path} ({len(rows)} planes)")
+    path = write_csv(f"{cfg.out}/curvature.csv", cols, [[xs, *vecs[:, 0].T, *vecs[:, 1].T, Ks]],
+                     cfg.resolved_dict())
+    print(f"wrote {path} ({cfg.samples} planes)")
     return 0
 
 
@@ -60,37 +59,29 @@ def cmd_geodesic(cfg: RunConfig) -> int:
     path = integrate_geodesic(spec, theta, cfg.t_end, cfg.step, drift_tol=cfg.drift_tol)
     n = spec.n
     mom_defect = path.momentum_defect_series()
-    y, u = path.y, path.u[::2]
+    u = path.u[::2]
     g = spec.log_derivatives(path.x[::2])[0]
     with np.errstate(over="ignore"):
         dy = np.where(u == 0.0, 0.0, np.exp(-g)[:, None] * u)
-    rows = []
-    for c, t in enumerate(path.times):
-        j = 2 * c
-        rows.append(
-            [t, path.x[j], *np.mod(y[j], 2.0 * np.pi).tolist(), path.u0[j],
-             *dy[c].tolist(), path.unit_defect[j], mom_defect[j]]
-        )
+    columns = [path.times, path.x[::2], *np.mod(path.y[::2], 2.0 * np.pi).T, path.u0[::2],
+               *dy.T, path.unit_defect[::2], mom_defect[::2]]
     cols = (
         ["t", "x"] + [f"y{i+1}" for i in range(n)]
         + ["dx"] + [f"dy{i+1}" for i in range(n)] + ["defect_unit", "defect_momentum"]
     )
-    out = write_csv(f"{cfg.out}/trajectory.csv", cols, rows, cfg.resolved_dict())
-    print(f"wrote {out} ({len(rows)} nodes)")
+    out = write_csv(f"{cfg.out}/trajectory.csv", cols, [columns], cfg.resolved_dict())
+    print(f"wrote {out} ({len(path.times)} nodes)")
     return 0
 
 
-def _solution_rows(sol):
-    n = sol.n
-    rows = []
-    for c, t in enumerate(sol.times):
-        rows.append([t, *sol.Y[c].reshape(n * n).tolist(), *sol.Yp[c].reshape(n * n).tolist()])
+def _solution_columns(sol):
+    n, count = sol.n, len(sol.times)
     cols = (
         ["t"]
         + [f"Y{i}{j}" for i in range(n) for j in range(n)]
         + [f"Yp{i}{j}" for i in range(n) for j in range(n)]
     )
-    return cols, rows
+    return cols, [sol.times, *sol.Y.reshape(count, n * n).T, *sol.Yp.reshape(count, n * n).T]
 
 
 def cmd_jacobi(cfg: RunConfig) -> int:
@@ -98,8 +89,8 @@ def cmd_jacobi(cfg: RunConfig) -> int:
     theta = _theta_from(cfg, spec)
     path = integrate_geodesic(spec, theta, cfg.t_end, cfg.step, drift_tol=cfg.drift_tol)
     sol = jacobi.solve_jacobi_ivp(path, np.eye(spec.n), np.zeros((spec.n, spec.n)))
-    cols, rows = _solution_rows(sol)
-    out = write_csv(f"{cfg.out}/jacobi.csv", cols, rows, cfg.resolved_dict())
+    cols, columns = _solution_columns(sol)
+    out = write_csv(f"{cfg.out}/jacobi.csv", cols, [columns], cfg.resolved_dict())
     print(f"wrote {out}")
     return 0
 
@@ -127,8 +118,8 @@ def cmd_green(cfg: RunConfig) -> int:
         "converged": converged,
     }
     out = write_json(f"{cfg.out}/green.json", payload, cfg.resolved_dict())
-    cols, rows = _solution_rows(sol)
-    write_csv(f"{cfg.out}/green.csv", cols, rows, cfg.resolved_dict())
+    cols, columns = _solution_columns(sol)
+    write_csv(f"{cfg.out}/green.csv", cols, [columns], cfg.resolved_dict())
     print(f"wrote {out} (converged={converged})")
     return 0
 
@@ -154,16 +145,10 @@ def cmd_anosov_check(cfg: RunConfig) -> int:
     if result.bounds_check is not None:
         payload["case_dominance"] = result.bounds_check
     out = write_json(f"{cfg.out}/anosov_report.json", payload, cfg.resolved_dict())
-    rows = []
-    for k, series in enumerate(result.series):
-        for t, v in zip(series.times, series.values):
-            rows.append([k, series.direction, series.theta.x, series.theta.dx, t, v])
-    write_csv(
-        f"{cfg.out}/anosov_series.csv",
-        ["series", "direction", "x0", "b0", "t", "value"],
-        rows,
-        cfg.resolved_dict(),
-    )
+    # one block per series; the series share one times array, rendered once
+    blocks = [(k, s.direction, s.theta.x, s.theta.dx, s.times, s.values) for k, s in enumerate(result.series)]
+    write_csv(f"{cfg.out}/anosov_series.csv", ["series", "direction", "x0", "b0", "t", "value"], blocks,
+              cfg.resolved_dict())
     print(f"wrote {out}")
     print(f"verdict: {report.verdict} (B_est={report.B_est:.6g}, t0_est={report.t0_est:.6g})")
     return 0

@@ -363,11 +363,13 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
                      (0, n_coarse), run["max_unit_defect"])
     del run  # the sweeps hold the only reference to the first table
     (y, yp), _, gaps_hist = _ladder(sweeps.solve, m, green_r0, step, green_max_doublings, green_tol)
+    sweeps.basis = None  # the window basis serves only later rungs
     max_unit = sweeps.max_unit
 
     final_gaps = gaps_hist[-1]
     green_ok = final_gaps < green_tol
     drifted = max_unit > drift_tol
+    singular = np.isnan(y[0]).any(axis=-1)  # its sweep vanished at t = 0 (engine.boundary_solve)
 
     times = step * np.arange(w)
     weights = _sasaki_mode_weights(engine.start_frame(u00, u0v)[1], yp[0])
@@ -385,7 +387,8 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
         "norms": norms,
         "green_ok": green_ok,
         "green_gap": final_gaps,
-        "degenerate": degenerate,
+        "degenerate": degenerate | singular,
+        "singular": singular,
         "drifted": drifted,
         "max_unit_defect": max_unit,
     }
@@ -507,6 +510,10 @@ def run_anosov_check(
     ``green_max_doublings`` doublings from ``green_r0`` and stops sooner,
     as a ``green_gap`` failure, once its bounds' decay cannot reach
     ``green_tol`` in the doublings left (see :func:`~warpflow.jacobi._ladder`).
+    A sample whose last two-point sweep vanishes at t = 0 (a conjugate
+    point, :func:`~warpflow.engine.boundary_solve`) is a ``vanishing_field``
+    failure, without a ``green_gap`` one, and is dropped from the series
+    and profiles like a field that vanishes on the window.
     ``workers`` is accepted for compatibility and starts no threads.
     """
     horizon = round(horizon / step) * step
@@ -545,6 +552,7 @@ def run_anosov_check(
     green_ok = gather("green_ok")
     green_gap = gather("green_gap")
     degenerate = gather("degenerate")
+    singular = gather("singular")
     drifted = gather("drifted")
     unit_defects = gather("max_unit_defect")
     stimes = results[0]["series_times"]
@@ -555,7 +563,7 @@ def run_anosov_check(
     for idx in range(len(batch)):
         tag = idx if idx < m else idx - m
         side = "stable" if idx < m else "flip"
-        if not green_ok[idx]:
+        if not green_ok[idx] and not singular[idx]:
             failures.append(
                 {"theta": int(tag), "side": side, "kind": "green_gap", "value": float(green_gap[idx])}
             )

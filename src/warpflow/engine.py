@@ -41,6 +41,16 @@ march (:func:`scalar_march`) serves two-point and initial-value solves, and
 n x n matrices are assembled only by callers that return them
 (:func:`split_matrix`).  At n = 1, I - c c^T = 0 and only mode 1 exists.
 
+Sweeps.  The march multiplies each pair by its step's RK4 transfer matrix,
+written in closed form from the step's three coefficients with the bits of
+RK4 on the identity (:func:`_transfer_block`).  It rescales by powers of
+two once per run of steps, not per step: a run ends before its matrices'
+norms could multiply past 2^900, so nothing overflows inside it and every
+represented value is that of a per-step rescale, bit for bit.  A two-point
+solve may start from the window basis of an earlier one with a nearer
+anchor and march only the steps between the two anchors
+(:func:`boundary_solve`).
+
 Finiteness.  The kernel evaluates the warp unchecked.  A run, stored or
 not, reads only g' at its RK4 stages (:meth:`WarpSpec.log_slope`) and
 evaluates (g, g', g'') of the tabulated nodes (:attr:`WarpSpec.triple`)
@@ -53,6 +63,8 @@ once.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -61,6 +73,9 @@ from .warp import WarpSpec
 
 # a sweep's scalar pair is rescaled by a power of two once it exceeds this
 _RENORM_THRESHOLD = 1e6
+# a sweep rescales once per run of steps whose transfer matrices' row-sum
+# norms multiply to at most 2^_RUN_BITS (see scalar_march)
+_RUN_BITS = 900
 # below this, the slice speed s sits in (or neighbors) the subnormal range
 # where its relative precision is gone; momentum diagnostics stop
 _MOMENTUM_FLOOR = 1e-300
@@ -323,31 +338,65 @@ def conservation_scan(spec: WarpSpec, x0, y0, u00, u0vec, *, t_end: float, step:
 
 
 def _transfer_block(curvatures, node, direction, count, h):
-    """RK4 transfer matrices T (count, 2, 2, m, M) of y'' + k y = 0 for steps of h from coarse ``node`` on.
+    """RK4 transfer matrices of y'' + k y = 0 for ``count`` steps of h from coarse ``node`` on, by column.
 
-    (y, y') after step i is T[i] applied to (y, y') before it.
+    Returns T (count, 2, 2, 1, m, M) with T[i, j] the column j of step i's
+    matrix ((y, y') after step i is T[i, 0] y + T[i, 1] y' before it), and
+    the log2 of each step's largest row-sum norm over the lanes whose
+    matrix is finite (at least 0).  The entries repeat the operations
+    :func:`_rk4_step` performs on the identity, dropping only products by
+    an exact 0 or 1 and sums with an exact 0, so they have its bits on
+    finite coefficients; a non-finite k gives a non-finite matrix (RK4 on
+    the identity makes every entry NaN, this only those that read k).
     """
-    sub = curvatures[2 * node + direction * np.arange(2 * count + 1)]
-    ks = (sub[0:-1:2], sub[1::2], sub[2::2])
+    a = 2 * node
+    sub = curvatures[a : a + 2 * count + 1] if direction > 0 else curvatures[a - 2 * count : a + 1][::-1]
+    ka, kb, kc = sub[0:-1:2], sub[1::2], sub[2::2]
+    half, full, sixth, two = _rk4_weights(h)
+    A, B = half * ka, half * kb
+    s3 = 1.0 - half * A  # column (1, 0): y at the third stage
+    kbs3 = kb * s3
+    s4 = 1.0 - full * B  # y of (1, 0) and y' of (0, 1) at the fourth stage
+    t3 = 1.0 - half * B  # column (0, 1): y' at the third stage
+    T = np.empty((count, 2, 2, 1) + ka.shape[1:])
+    T[:, 0, 0, 0] = 1.0 - sixth * (two * (A + B) + full * kbs3)
+    T[:, 0, 1, 0] = -(sixth * (((ka + two * kb) + two * kbs3) + kc * s4))
+    T[:, 1, 0, 0] = sixth * ((3.0 + two * t3) + s4)
+    T[:, 1, 1, 0] = 1.0 - sixth * (4.0 * B + kc * (full * t3))
+    with np.errstate(invalid="ignore"):
+        absT = np.abs(T)
+        norm = np.maximum(absT[:, 0, 0] + absT[:, 1, 0], absT[:, 0, 1] + absT[:, 1, 1])
+        norm = np.where(np.isfinite(norm), norm, 1.0).reshape(count, -1).max(axis=1, initial=1.0)
+    return T, np.log2(norm)
 
-    def rhs(stage, G):
-        return np.stack((G[:, 1], -(ks[stage][:, None] * G[:, 0])), axis=1)
 
-    eye = np.zeros((count, 2, 2) + sub.shape[1:])
-    eye[:, 0, 0] = eye[:, 1, 1] = 1.0
-    return _rk4_step(rhs, eye, h)
+def _renormalize(pairs, scales):
+    """Divide each pair (axis 1 of ``pairs``) larger than ``_RENORM_THRESHOLD`` by a power of two, in place.
+
+    The pair then lies in [0.5, 1) and its exponent is added to ``scales``
+    (the shape of ``pairs`` without axis 1); a NaN pair is left as it is.
+    """
+    size = np.abs(pairs).max(axis=1)
+    shift = np.where(size > _RENORM_THRESHOLD, np.frexp(size)[1], 0)
+    np.ldexp(pairs, -shift[:, None], out=pairs)
+    scales += shift
 
 
 def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: np.ndarray, lo: int, hi: int):
     """March scalar pairs (y, y') of y'' + k y = 0 from coarse node ``start`` to ``stop``.
 
     ``curvatures`` (J, m, M) holds k per fine node, sample and mode, and F
-    (2, q, m, M) the pairs at ``start`` of q solutions.  A solution whose
-    pair exceeds ``_RENORM_THRESHOLD`` is divided by a power of two (exact),
-    so nothing overflows at any horizon and every decision is per sample and
-    mode, also beside a sample whose pair is NaN.  Returns the scaled pairs
-    (nodes, 2, q, m, M) and the base-2 exponents (nodes, q, m, M) taken out
-    of them, at the coarse nodes of [lo, hi] that the march passes.
+    (2, q, m, M) the pairs at ``start`` of q solutions.  The steps go in
+    runs, each ending before the product of its transfer matrices'
+    row-sum norms could pass 2^``_RUN_BITS``, so nothing overflows inside
+    a run; after it, every pair above ``_RENORM_THRESHOLD``, the march's
+    and those stored in the run, is divided by a power of two
+    (:func:`_renormalize`).  That is exact, so every represented value
+    pair * 2^scale is the one of a march that rescales after each step,
+    bit for bit, and every decision is per sample and mode, also beside a
+    sample whose pair is NaN.  Returns the scaled pairs (nodes, 2, q, m, M)
+    and the base-2 exponents (nodes, q, m, M) taken out of them, at the
+    coarse nodes of [lo, hi] that the march passes.
     """
     direction = -1 if stop < start else 1
     scale = np.zeros(F.shape[1:], dtype=int)
@@ -357,23 +406,68 @@ def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: 
         pairs[node - lo], scales[node - lo] = F, scale
     steps = abs(stop - start)
     for first in range(0, steps, _BLOCK_NODES):
-        T = _transfer_block(curvatures, node, direction, min(_BLOCK_NODES, steps - first), direction * step)
-        for Ti in T:
-            F = Ti[:, 0, None] * F[0] + Ti[:, 1, None] * F[1]
-            node += direction
-            # the max is NaN once any pair is; "not <=" then still takes the
-            # per-element rescale below, so the neighbours cannot overflow
-            if not np.abs(F).max() <= _RENORM_THRESHOLD:
-                size = np.abs(F).max(axis=0)
-                shift = np.where(size > _RENORM_THRESHOLD, np.frexp(size)[1], 0)
-                F = np.ldexp(F, -shift)
-                scale = scale + shift
-            if lo <= node <= hi:
-                pairs[node - lo], scales[node - lo] = F, scale
+        count = min(_BLOCK_NODES, steps - first)
+        T, bits = _transfer_block(curvatures, node, direction, count, direction * step)
+        total = np.cumsum(bits)
+        i = 0
+        while i < count:
+            # a run: steps i to end - 1, at least one, whose log2 norms sum to at most _RUN_BITS
+            end = max(i + 1, int(np.searchsorted(total, total[i] - bits[i] + _RUN_BITS, side="right")))
+            for col0, col1 in zip(T[i:end, 0], T[i:end, 1]):
+                node += direction
+                G = np.multiply(col0, F[0], out=pairs[node - lo] if lo <= node <= hi else None)
+                G += col1 * F[1]
+                F = G
+            run = sorted((node - direction * (end - i - 1), node))
+            a, b = max(lo, run[0]), min(hi, run[1])
+            if a <= b:
+                scales[a - lo : b - lo + 1] = scale
+                _renormalize(pairs[a - lo : b - lo + 1], scales[a - lo : b - lo + 1])
+            if lo <= node <= hi:  # F is the run's last stored node
+                scale = scales[node - lo].copy()
+            else:
+                _renormalize(F[None], scale[None])
+            i = end
     return pairs, scales
 
 
-def boundary_solve(curvatures: np.ndarray, step: float, anchor_c: int, zero_c: int, out_lo: int, out_hi: int):
+@dataclass
+class Basis:
+    """The Dirichlet and Neumann pairs of a sweep on its output window, kept for a later sweep (:func:`boundary_solve`).
+
+    ``pairs`` (nodes, 2, 2, m, M) and ``scales`` (nodes, 2, m, M) are as
+    :func:`scalar_march` returns them, solution 0 Dirichlet and 1 Neumann,
+    and ``offset`` is their anchor's coarse offset from the normalization
+    node; it is None while nothing is stored.
+    """
+
+    offset: Optional[int] = None
+    pairs: Optional[np.ndarray] = None
+    scales: Optional[np.ndarray] = None
+
+
+def _recombine(pairs, scales, end, end_scales):
+    """Replace the Dirichlet and Neumann solutions D, N of ``pairs`` and ``scales`` by y N - y' D, in place.
+
+    ``end`` (2, 2, m, M) holds the pairs (y, y') of the new solutions at the
+    anchor of D and N, and ``end_scales`` (2, m, M) their exponents.  At
+    that anchor D = (0, -1) and N = (1, 0), so y N - y' D has the pair
+    (y, y') there; D and N are first brought to a common exponent.
+    """
+    common = np.maximum(scales[:, 0], scales[:, 1])
+    D, N = pairs[:, :, 0], pairs[:, :, 1]
+    for sol, s in ((D, scales[:, 0]), (N, scales[:, 1])):
+        np.ldexp(sol, (s - common)[:, None], out=sol)
+    new_D = N * end[0, 0] - D * end[1, 0]
+    N *= end[0, 1]
+    N -= D * end[1, 1]
+    D[...] = new_D
+    scales[...] = common[:, None] + end_scales
+    _renormalize(pairs, scales)
+
+
+def boundary_solve(curvatures: np.ndarray, step: float, anchor_c: int, zero_c: int, out_lo: int, out_hi: int,
+                   *, basis: Optional[Basis] = None):
     """Scalar two-point solutions y(zero) = 1, y(anchor) = 0 on coarse nodes [out_lo, out_hi], with a bracket.
 
     ``curvatures`` (J, m, M) holds the coefficient k of each mode per fine
@@ -386,24 +480,42 @@ def boundary_solve(curvatures: np.ndarray, step: float, anchor_c: int, zero_c: i
     between the Dirichlet u_D and the Neumann u_N at every node before it.
     Returns (y, y', width), each (nodes, m, M), with width = |u_N - u_D|
     (the rescaling cancels in y'/y); where either solution is zero or not
-    finite the width is inf.
+    finite the width is inf.  A sample whose solution vanishes at the
+    normalization node (a conjugate point) gets NaN modes and an infinite
+    width on the whole window; the other samples keep their bits.
+
+    ``basis``, when given, receives this sweep's Dirichlet and Neumann pairs
+    on the window (the march's own buffers) for a later call with the same
+    window and samples.  If it already holds those of an earlier anchor
+    that lies between the window and ``anchor_c``, the march stops at that
+    anchor, and each new solution on the window is y N - y' D, with D and N
+    the stored pairs (a basis of solutions there) and (y, y') its pair at
+    the earlier anchor, combined in place (:func:`_recombine`).
     """
     if not (out_lo <= zero_c <= out_hi):
         raise ValueError("normalization node must lie inside the output window")
-    target = out_lo if anchor_c > zero_c else out_hi
     # solution 0 is Dirichlet, (y, y') = (0, -1) at the anchor; solution 1 Neumann, (1, 0)
     F = np.zeros((2, 2) + curvatures.shape[1:])
     F[1, 0] = -1.0
     F[0, 1] = 1.0
-    pairs, scales = scalar_march(curvatures, step, anchor_c, target, F, out_lo, out_hi)
+    prev = None if basis is None or basis.offset is None else zero_c + basis.offset
+    if prev is not None and (out_hi < prev < anchor_c or anchor_c < prev < out_lo):
+        end, end_scales = scalar_march(curvatures, step, anchor_c, prev, F, prev, prev)
+        pairs, scales = basis.pairs, basis.scales
+        _recombine(pairs, scales, end[0], end_scales[0])
+    else:
+        target = out_lo if anchor_c > zero_c else out_hi
+        pairs, scales = scalar_march(curvatures, step, anchor_c, target, F, out_lo, out_hi)
+    if basis is not None:
+        basis.offset, basis.pairs, basis.scales = anchor_c - zero_c, pairs, scales
+    zero = zero_c - out_lo
+    y_zero = pairs[zero, 0, 0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = pairs[:, 1] / pairs[:, 0]
         width = np.abs(u[:, 1] - u[:, 0])
+        ys = np.ldexp(pairs[:, :, 0] / y_zero, (scales[:, 0] - scales[zero, 0])[:, None])
     width[~np.isfinite(width)] = np.inf
-    pairs, scales = pairs[:, :, 0], scales[:, 0]
-    zero = zero_c - out_lo
-    y_zero = pairs[zero, 0]
-    if (y_zero == 0.0).any():
-        raise np.linalg.LinAlgError("two-point solution vanishes at the normalization node")
-    ys = np.ldexp(pairs / y_zero, (scales - scales[zero])[:, None])
+    singular = (y_zero == 0.0).any(axis=-1)
+    ys[:, :, singular] = np.nan
+    width[:, singular] = np.inf
     return ys[:, 0], ys[:, 1], width

@@ -45,8 +45,7 @@ class UnitTangent:
         return self.y.shape[0]
 
     def speed(self, spec: WarpSpec) -> float:
-        f = float(spec.f(self.x))
-        return float(np.sqrt(self.dx**2 + f * f * np.dot(self.dy, self.dy)))
+        return _speed(self.dx, float(spec.f(self.x)), self.dy)
 
     def frame_velocity(self, spec: WarpSpec) -> tuple:
         """Velocity components (u0, u) in the orthonormal basis."""
@@ -55,6 +54,20 @@ class UnitTangent:
 
     def as_tangent_vector(self) -> TangentVector:
         return TangentVector(x=self.x, y=self.y, dx=self.dx, dy=self.dy)
+
+
+def _speed(u0, f, d) -> float:
+    """sqrt(u0^2 + f^2 |d|^2), each factor scaled by a power of two before squaring.
+
+    The powers are taken from the largest term, as :func:`engine.fiber_direction`
+    scales by the largest component, so no finite velocity overflows; the
+    scaling is exact, so wherever the plain formula stays finite the bits
+    are the same.  A NaN or infinite input gives a NaN or infinite speed.
+    """
+    kf = np.frexp(f)[1]
+    k = max(np.frexp(u0)[1], kf + np.frexp(np.abs(d).max())[1])
+    u0, f, d = np.ldexp(u0, -k), np.ldexp(f, -kf), np.ldexp(d, kf - k)
+    return float(np.ldexp(np.sqrt(u0 * u0 + f * f * np.dot(d, d)), k))
 
 
 def unit_tangent(spec: WarpSpec, x, y, dx, dy, normalize: bool = True) -> UnitTangent:
@@ -75,7 +88,7 @@ def unit_tangent(spec: WarpSpec, x, y, dx, dy, normalize: bool = True) -> UnitTa
 def unit_tangent_from_direction(spec: WarpSpec, x, y, u0, u) -> UnitTangent:
     """Unit tangent from orthonormal-basis velocity components (u0, u)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    norm = float(np.sqrt(u0 * u0 + np.dot(u, u)))
+    norm = _speed(float(u0), 1.0, u)
     if not 0.0 < norm < np.inf:
         raise DomainError("zero or non-finite velocity")
     u0, u = u0 / norm, u / norm

@@ -22,7 +22,11 @@ the flow-derivative norms work; the ladder stops at the first rung whose
 Dirichlet-Neumann bracket certifies the limit.  Every two-point solve, batched
 (``criterion``) or single-sample (m = 1), sweeps the table of one driver,
 :class:`_Sweeps`, which grows the (k1, k2) table past the stored data as far
-as r needs and stores no path there.  Initial-value solves march the scalar
+as r needs and stores no path there.  In the batched ladder a later rung
+marches only from its anchor back to the previous rung's and reads its
+window solution off the previous rung's Dirichlet and Neumann solutions
+there, y N - y' D with (y, y') its pair at the old anchor; the single-sample
+solves march every rung the whole way.  Initial-value solves march the scalar
 fundamental pairs (A_k, B_k) both ways from t = 0 and assemble
 Y = sum_k P_k (A_k Y(0) + B_k Y'(0)) with P_1 = c c^T, P_2 = I - c c^T; they
 carry no modes.
@@ -140,12 +144,23 @@ class _Sweeps:
     holds the coarse offsets (lo, hi) of the output window from t = 0, and
     ``max_unit`` each sample's largest unit-speed defect, which a growth
     raises only for the samples that asked for it.
+
+    A sweep keeps its Dirichlet and Neumann pairs on the window
+    (:class:`engine.Basis`), so the next sweep of the same samples, or of
+    some of them, from an endpoint further out marches only back to the
+    previous endpoint; a sample whose sweep vanishes at t = 0 gets NaN
+    modes and an infinite bound.  A ``single`` driver (the single-sample
+    API) raises :class:`ConjugatePointDetected` there instead, and marches
+    every sweep the whole way, so each rung has the bits of a solve on its
+    own: its bounds reach rounding level (the width between two u near -1),
+    where the combined basis would round differently.
     """
 
-    def __init__(self, spec, step, e, table, zero, ends, window, max_unit):
+    def __init__(self, spec, step, e, table, zero, ends, window, max_unit, single=False):
         self.spec, self.step, self.e = spec, step, e
         self.table, self.zero, self.ends = table, zero, ends
-        self.window, self.max_unit = window, max_unit
+        self.window, self.max_unit, self.single = window, max_unit, single
+        self.basis = self.basis_live = None
 
     def _grow(self, side, steps, live):
         """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node."""
@@ -159,6 +174,15 @@ class _Sweeps:
         # a frozen sample's defect covers only the rungs it used
         self.max_unit[live] = np.maximum(self.max_unit[live], seg["max_unit_defect"][live])
         self.ends[side] = seg["final_state"]
+
+    def _basis_for(self, live):
+        """The stored basis restricted to the samples ``live``, or an empty one if it does not hold them all."""
+        basis, held = self.basis, self.basis_live
+        self.basis = None  # released before the sweep allocates
+        keep = None if held is None else np.isin(held, live)
+        if keep is None or not np.array_equal(held[keep], live):
+            return engine.Basis()
+        return basis if keep.all() else engine.Basis(basis.offset, basis.pairs[:, :, :, keep], basis.scales[:, :, keep])
 
     def solve(self, r: float, live: np.ndarray) -> tuple:
         """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, and the bracket bounds.
@@ -178,11 +202,11 @@ class _Sweeps:
         # copy the table only when some samples are frozen
         tab = tab if len(live) == tab.shape[1] else tab[:, live]
         nodes = (k - first for k in (anchor, self.zero, lo, hi))
-        try:
-            y, yp, width = engine.boundary_solve(tab, self.step, *nodes)
-        except np.linalg.LinAlgError as exc:  # a solution vanishes at t = 0
-            r_snap = offset * self.step
-            raise ConjugatePointDetected(f"two-point solve with endpoint r={r_snap} is singular") from exc
+        basis = None if self.single else self._basis_for(live)
+        y, yp, width = engine.boundary_solve(tab, self.step, *nodes, basis=basis)
+        self.basis, self.basis_live = basis, live
+        if self.single and np.isnan(y[-self.window[0]]).any():  # a solution vanishes at t = 0
+            raise ConjugatePointDetected(f"two-point solve with endpoint r={offset * self.step} is singular")
         return y, yp, _bracket_bound(width, self.step, -self.window[0])
 
 
@@ -225,7 +249,7 @@ def _path_sweeps(path: GeodesicPath, lo_t: float, hi_t: float) -> tuple:
     zero = wpath.coarse_index(0.0)
     ends = [wpath.slice_state_at(j) for j in (0, -1)]
     table = wpath.curvatures[:, None, : min(path.n, 2)]
-    sweeps = _Sweeps(path.spec, step, wpath.e[None], table, zero, ends, (lo, hi), np.zeros(1))
+    sweeps = _Sweeps(path.spec, step, wpath.e[None], table, zero, ends, (lo, hi), np.zeros(1), single=True)
     return sweeps, wpath, wpath.times[zero + lo : zero + hi + 1].copy()
 
 

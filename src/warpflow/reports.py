@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 def fmt(value) -> str:
     if isinstance(value, float):
@@ -20,20 +22,45 @@ def config_header_lines(config: dict) -> list:
     return [f"# {key} = {fmt(config[key])}" for key in sorted(config)]
 
 
-def write_csv(path, columns, rows, config: dict) -> Path:
+def _cells(column) -> list:
+    """The rendered cells of a sequence of one type, in one pass, cell for cell as :func:`fmt` renders them.
+
+    A float column is rendered by ``format`` over its ``tolist``.
+    """
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        return [format(v, ".17g") for v in values.tolist()]
+    return [fmt(v) for v in values.tolist()]
+
+
+def write_csv(path, columns, blocks, config: dict) -> Path:
+    """Write a CSV of the header ``columns`` whose rows come in ``blocks``, each a sequence of columns.
+
+    A block's columns are sequences of one length, its row count, or single
+    values repeated on every row; each is rendered once (:func:`_cells`),
+    and so is a sequence that several blocks share (the same object).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = config_header_lines(config)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join([fmt(v) for v in row]))
+    shared = {}  # id -> (column, cells); holding the column keeps its id unique
+    for block in blocks:
+        count = max([len(c) for c in block if np.ndim(c)], default=1)
+        cells = []
+        for column in block:
+            if np.ndim(column) == 0:
+                cells.append([fmt(np.asarray(column).tolist())] * count)
+                continue
+            if id(column) not in shared:
+                shared[id(column)] = (column, _cells(column))
+            cells.append(shared[id(column)][1])
+        lines.extend(map(",".join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

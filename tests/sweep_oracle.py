@@ -1,5 +1,8 @@
 """Reference Jacobi solves: the matrix RK4 march and sweep with QR renormalization.
 
+Also the scalar march that ``engine.scalar_march`` replaced: RK4 transfer
+matrices stepped on the identity and a rescale check after every step.
+
 The n x n system Y'' + K Y = 0 is marched as the (2n x q) frame [Y; Y'].  The
 sweep starts at the vanishing end, is QR-renormalized whenever its entries
 exceed a threshold, and the accumulated right factors are restored when the
@@ -11,9 +14,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from warpflow.engine import _rk4_step
+from warpflow.engine import _RENORM_THRESHOLD, _rk4_step
 
 _THRESHOLD = 1e6
+
+
+def rk4_transfer(curvatures, node, direction, count, h):
+    """RK4 transfer matrices T (count, 2, 2, m, M), T[i] @ (y, y') per step, from RK4 on a stacked identity."""
+    sub = curvatures[2 * node + direction * np.arange(2 * count + 1)]
+    ks = (sub[0:-1:2], sub[1::2], sub[2::2])
+
+    def rhs(stage, G):
+        return np.stack((G[:, 1], -(ks[stage][:, None] * G[:, 0])), axis=1)
+
+    eye = np.zeros((count, 2, 2) + sub.shape[1:])
+    eye[:, 0, 0] = eye[:, 1, 1] = 1.0
+    return _rk4_step(rhs, eye, h)
+
+
+def per_step_march(curvatures, step, start, stop, F, lo, hi):
+    """``engine.scalar_march`` with a rescale check after every step: the pairs and exponents on [lo, hi]."""
+    direction = -1 if stop < start else 1
+    scale = np.zeros(F.shape[1:], dtype=int)
+    pairs, scales = np.empty((hi - lo + 1,) + F.shape), np.empty((hi - lo + 1,) + scale.shape, dtype=int)
+    node = start
+    if lo <= node <= hi:
+        pairs[node - lo], scales[node - lo] = F, scale
+    for _ in range(abs(stop - start)):
+        T = rk4_transfer(curvatures, node, direction, 1, direction * step)[0]
+        F = T[:, 0, None] * F[0] + T[:, 1, None] * F[1]
+        node += direction
+        if not np.abs(F).max() <= _RENORM_THRESHOLD:
+            size = np.abs(F).max(axis=0)
+            shift = np.where(size > _RENORM_THRESHOLD, np.frexp(size)[1], 0)
+            F = np.ldexp(F, -shift)
+            scale = scale + shift
+        if lo <= node <= hi:
+            pairs[node - lo], scales[node - lo] = F, scale
+    return pairs, scales
 
 
 def _jacobi_step(Ks, F, h, n):

@@ -5,6 +5,7 @@ from warpflow import engine, scenarios
 from warpflow.errors import DomainError, IntegratorDrift
 from warpflow.geodesics import (
     _SERIES,
+    UnitTangent,
     flip,
     integrate_geodesic,
     integrate_window,
@@ -56,6 +57,28 @@ class TestUnitTangent:
     def test_direction_rejects_degenerate_velocity(self, anosov_spec, u0, u):
         with pytest.raises(DomainError, match="zero or non-finite velocity"):
             unit_tangent_from_direction(anosov_spec, 1.2, np.zeros(2), u0, u)
+
+    def test_large_finite_velocities_are_normalized(self, anosov_spec):
+        # squaring 1e200 overflows; scaled by a power of two first it does not
+        th = unit_tangent_from_direction(anosov_spec, 0.0, np.zeros(2), 1e200, [1e200, 0.0])
+        u0, u = th.frame_velocity(anosov_spec)
+        assert u0 == pytest.approx(np.sqrt(0.5), rel=1e-15) and u == pytest.approx([np.sqrt(0.5), 0.0], rel=1e-15)
+        th = unit_tangent(anosov_spec, 0.0, np.zeros(2), 1e200, [0.0, 0.0])
+        assert th.dx == 1.0 and np.array_equal(th.dy, [0.0, 0.0])
+
+    @pytest.mark.parametrize("dx, dy", [(0.0, [0.0, 0.0]), (np.nan, [0.1, 0.0]), (1.0, [0.0, np.nan])],
+                             ids=["zero", "nan_dx", "nan_dy"])
+    def test_rejects_degenerate_velocity(self, anosov_spec, dx, dy):
+        with pytest.raises(DomainError, match="zero or non-finite velocity"):
+            unit_tangent(anosov_spec, 1.2, np.zeros(2), dx, dy)
+
+    def test_speed_keeps_the_bits_of_the_plain_formula(self, anosov_spec):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            dx, dy = rng.standard_normal() * 10.0 ** rng.uniform(-50, 50), rng.standard_normal(2)
+            th = UnitTangent(x=0.7, y=np.zeros(2), dx=dx, dy=dy)
+            f = float(anosov_spec.f(0.7))
+            assert th.speed(anosov_spec) == float(np.sqrt(dx * dx + f * f * np.dot(dy, dy)))
 
 
 class TestIntegrateGeodesic:
