@@ -138,7 +138,8 @@ def cmd_anosov_check(cfg: RunConfig) -> int:
         # unset, the check takes its default r0 = horizon + 16
         green_r0=cfg.green_r0 if "green_r0" in cfg._explicit else None,
         envelope_slack=cfg.envelope_slack, drift_tol=cfg.drift_tol,
-        chunk_size=cfg.chunk_size, bounds=bounds,
+        # unset, the check sizes its batches by bytes
+        chunk_size=cfg.chunk_size if "chunk_size" in cfg._explicit else None, bounds=bounds,
     )
     report = result.report
     payload = report.json_dict()
@@ -206,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory")
     common.add_argument(
         "--workers", type=int,
-        help="accepted for compatibility; starts no threads: the chunks of start data run in "
-             "sequence, a flipped datum equal to a sampled one is integrated once, and results "
-             "do not depend on chunk_size",
+        help="accepted for compatibility; starts no threads: the start data run in sequential "
+             "batches sized by a byte budget (at most chunk_size data when a config file sets it), "
+             "a flipped datum equal to a sampled one is integrated once, and results do not depend "
+             "on the batches",
     )
     common.add_argument("--x0", type=float, help="start base coordinate")
     common.add_argument("--b0", type=float, help="start forward speed in [-1, 1]")

@@ -28,6 +28,14 @@ from .scenarios import ScenarioBounds, case_bound
 from .warp import WarpSpec
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# run_anosov_check cuts its distinct start data into batches whose
+# estimated working set (see _sample_bytes) fits in this many bytes
+_BATCH_BYTES = 96 << 20
+# 8-byte words per window node and mode that a start datum holds at its
+# peak, the end of a later rung's sweep: the Dirichlet and Neumann pairs
+# (4) and their int32 exponents (1), the new modes (2), the earlier modes
+# the ladder keeps (2), the bracket width (1) and the window coefficients (1)
+_WINDOW_WORDS = 11
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,8 @@ class AnosovReport:
 # ---------------------------------------------------------------------------
 
 
-def _curvature_averages(y: np.ndarray, k: np.ndarray, weights: np.ndarray, times: np.ndarray) -> tuple:
+def _curvature_averages(y: np.ndarray, k: np.ndarray, weights: np.ndarray, times: np.ndarray,
+                        rows: np.ndarray) -> tuple:
     """Running averages of the plane curvature K(gamma', J) along J = Y w, per sample and direction.
 
     The modes y and their coefficients k have shape (nodes, m, M) on
@@ -100,22 +109,40 @@ def _curvature_averages(y: np.ndarray, k: np.ndarray, weights: np.ndarray, times
     (k1 (p y1)^2 + k2 (q y2)^2) / |J|^2.  Dividing both terms by the larger
     keeps the squares off the underflow floor while exponential decay runs
     through hundreds of orders of magnitude.  Returns the trapezoidal
-    averages (nodes - 1, m, d) at times[1:], the norms |J| (nodes, m, d) and
-    a per-sample flag for fields that vanish on the grid.
+    averages (len(rows), m, d) at times[rows] (at times[0], the curvature
+    there, their limit), the norms |J| there and a per-sample flag for
+    fields that vanish on the grid.  One direction is worked at a time, in
+    place, so the working set does not grow with d.
     """
-    J = y[:, :, None, :] * weights
-    scale = np.abs(J).max(axis=-1)
-    degenerate = (scale == 0.0).any(axis=(0, 2))
-    safe = np.where(scale == 0.0, 1.0, scale)
-    J /= safe[..., None]
-    J *= J
-    den = J.sum(axis=-1)
-    J *= k[:, :, None, :]
-    with np.errstate(invalid="ignore"):  # 0/0 where a field vanishes, which ``degenerate`` flags
-        kappa = J.sum(axis=-1) / den
-    cum = np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(times)[:, None, None], axis=0)
-    averages = cum / (times[1:] - times[0])[:, None, None]
-    return averages, safe * np.sqrt(den), degenerate
+    m, d = y.shape[1], weights.shape[1]
+    averages, norms = np.empty((len(rows), m, d)), np.empty((len(rows), m, d))
+    degenerate = np.zeros(m, dtype=bool)
+    later = rows > 0
+    span = (times[rows[later]] - times[0])[:, None]
+    dt = np.diff(times)[:, None]
+    for i in range(d):
+        J = y * weights[:, i]
+        scale = np.abs(J).max(axis=-1)
+        vanished = scale == 0.0
+        degenerate |= vanished.any(axis=0)
+        scale[vanished] = 1.0
+        J /= scale[..., None]
+        J *= J
+        den = J.sum(axis=-1)
+        J *= k
+        kappa = J.sum(axis=-1)
+        with np.errstate(invalid="ignore"):  # 0/0 where a field vanishes, which ``degenerate`` flags
+            kappa /= den
+        cum = kappa[1:] + kappa[:-1]
+        cum *= 0.5
+        cum *= dt
+        np.cumsum(cum, axis=0, out=cum)
+        averages[later, :, i] = cum[rows[later] - 1] / span
+        averages[~later, :, i] = kappa[0]
+        np.sqrt(den, out=den)
+        den *= scale
+        norms[:, :, i] = den[rows]
+    return averages, norms, degenerate
 
 
 def averaged_curvature(
@@ -139,7 +166,8 @@ def averaged_curvature(
     w, c = np.asarray(w, float), green.path.c
     p = c @ w
     weights = np.array([p, np.linalg.norm(w - p * c)])[: y.shape[-1]]
-    averages, _, degenerate = _curvature_averages(y[:, None], k[:, None], weights[None, None], times)
+    averages, _, degenerate = _curvature_averages(y[:, None], k[:, None], weights[None, None], times,
+                                                  np.arange(1, len(times)))
     if degenerate[0]:
         raise VanishingJacobiField("Jacobi field vanished on the grid")
     ts, vals = times[1:], averages[:, 0, 0]
@@ -342,6 +370,18 @@ def _sasaki_mode_weights(c: np.ndarray, yp0: np.ndarray) -> np.ndarray:
     return weights[..., : yp0.shape[-1]]
 
 
+def _sample_bytes(table_nodes: int, window_nodes: int, modes: int) -> int:
+    """Estimated peak bytes of one start datum in a batch.
+
+    Its (k1, k2) table of ``table_nodes`` fine nodes to the first rung
+    (both coefficients, as the kernel tabulates them; a later rung's table
+    runs only from the previous anchor to its own, as long as the first
+    under doubling) and ``_WINDOW_WORDS`` words per coarse window node and
+    mode.
+    """
+    return 8 * (2 * table_nodes + _WINDOW_WORDS * modes * window_nodes)
+
+
 def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_max_doublings,
                     drift_tol, series_stride):
     """Forward pass + stable ladder + reductions for one bundle of start data."""
@@ -363,8 +403,8 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
                      (0, n_coarse), run["max_unit_defect"])
     del run  # the sweeps hold the only reference to the first table
     (y, yp), _, gaps_hist = _ladder(sweeps.solve, m, green_r0, step, green_max_doublings, green_tol)
-    sweeps.basis = None  # the window basis serves only later rungs
-    max_unit = sweeps.max_unit
+    max_unit, k = sweeps.max_unit, sweeps.window_coefficients()
+    del sweeps  # its table and window basis serve only later rungs
 
     final_gaps = gaps_hist[-1]
     green_ok = final_gaps < green_tol
@@ -373,17 +413,17 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
 
     times = step * np.arange(w)
     weights = _sasaki_mode_weights(engine.start_frame(u00, u0v)[1], yp[0])
-    averages, Jnorm, degenerate = _curvature_averages(y, sweeps.table[: 2 * n_coarse + 1 : 2], weights, times)
+    sidx = np.unique(np.concatenate([np.arange(0, w, series_stride), [w - 1]]))  # sidx[0] = 0
+    averages, Jnorm, degenerate = _curvature_averages(y, k, weights, times, sidx)
+    del k
     norms = _flow_norms(y, yp, 0)
 
-    sidx = np.unique(np.concatenate([np.arange(0, w, series_stride), [w - 1]]))
-    sidx_pos = sidx[sidx > 0]
     return {
         "times": times,
-        "series_times": times[sidx_pos],
-        "series_values": averages[sidx_pos - 1],
+        "series_times": times[sidx[1:]],
+        "series_values": averages[1:],
         "Jnorms_times": times[sidx],
-        "Jnorms": Jnorm[sidx],
+        "Jnorms": Jnorm,
         "norms": norms,
         "green_ok": green_ok,
         "green_gap": final_gaps,
@@ -495,7 +535,7 @@ def run_anosov_check(
     envelope_slack: float = 0.05,
     drift_tol: float = 1e-5,
     workers: int = 1,
-    chunk_size: int = 28,
+    chunk_size: Optional[int] = None,
     bounds: Optional[ScenarioBounds] = None,
 ) -> AnosovCheckResult:
     """End-to-end averaged-curvature consistency check over a start-data sample.
@@ -504,9 +544,13 @@ def run_anosov_check(
     construction along the velocity-reversed sample (the flip involution
     conjugates the two).  A flipped datum that equals a base datum is
     integrated once and its results serve both sides.  The distinct data are
-    cut into chunks of ``chunk_size``, run one after the other; the ladder
-    and the sweep rescaling decide per sample, so per-sample results do not
-    depend on ``chunk_size``.  Each sample's ladder runs at most
+    cut into batches of equal size, run one after the other: as few as keep
+    each batch's estimated working set under ``_BATCH_BYTES`` (one datum's
+    is :func:`_sample_bytes` of its first table's fine nodes, the window's
+    coarse nodes and the modes M), and of at most ``chunk_size`` data when
+    that is given.  The ladder and the sweep rescaling decide per sample, so
+    per-sample results do not depend on the batches.  Later rungs grow and
+    sweep only the samples still live.  Each sample's ladder runs at most
     ``green_max_doublings`` doublings from ``green_r0`` and stops sooner,
     as a ``green_gap`` failure, once its bounds' decay cannot reach
     ``green_tol`` in the doublings left (see :func:`~warpflow.jacobi._ladder`).
@@ -515,7 +559,15 @@ def run_anosov_check(
     failure, without a ``green_gap`` one, and is dropped from the series
     and profiles like a field that vanishes on the window.
     ``workers`` is accepted for compatibility and starts no threads.
+    A step, sample count or ``chunk_size`` below 1 raises
+    :class:`DomainError` before any datum is sampled.
     """
+    if not step > 0:
+        raise DomainError(f"step = {step} must be positive")
+    if samples < 1:
+        raise DomainError(f"samples = {samples} must be >= 1")
+    if chunk_size is not None and chunk_size < 1:
+        raise DomainError(f"chunk_size = {chunk_size} must be >= 1")
     horizon = round(horizon / step) * step
     if not horizon > 0:
         raise DomainError("horizon must be positive")
@@ -533,7 +585,13 @@ def run_anosov_check(
     slots = {}
     index = np.array([slots.setdefault(_datum_key(th), len(slots)) for th in batch])
     distinct = [batch[i] for i in np.unique(index, return_index=True)[1]]
-    chunks = [distinct[i : i + chunk_size] for i in range(0, len(distinct), chunk_size)]
+    per_sample = _sample_bytes(2 * round(green_r0 / step) + 1, round(horizon / step) + 1, min(spec.n, 2))
+    size = max(1, _BATCH_BYTES // per_sample)
+    if chunk_size is not None:
+        size = min(size, chunk_size)
+    count = -(-len(distinct) // size)
+    size = -(-len(distinct) // count)  # as many batches, of equal size
+    chunks = [distinct[i : i + size] for i in range(0, len(distinct), size)]
 
     kwargs = dict(
         step=step, horizon=horizon, green_tol=green_tol, green_r0=green_r0,

@@ -46,7 +46,9 @@ written in closed form from the step's three coefficients with the bits of
 RK4 on the identity (:func:`_transfer_block`).  It rescales by powers of
 two once per run of steps, not per step: a run ends before its matrices'
 norms could multiply past 2^900, so nothing overflows inside it and every
-represented value is that of a per-step rescale, bit for bit.  A two-point
+represented value is that of a per-step rescale, bit for bit.  The
+exponents taken out are int32; a march that could carry one past 2^31 - 1
+raises :class:`DomainError` instead of wrapping around.  A two-point
 solve may start from the window basis of an earlier one with a nearer
 anchor and march only the steps between the two anchors
 (:func:`boundary_solve`).
@@ -79,9 +81,16 @@ _RUN_BITS = 900
 # below this, the slice speed s sits in (or neighbors) the subnormal range
 # where its relative precision is gone; momentum diagnostics stop
 _MOMENTUM_FLOOR = 1e-300
-# nodes per block of a kernel run (see integrate_states), steps per
-# block of transfer matrices in a sweep (see boundary_solve)
+# nodes per block of a kernel run (see integrate_states)
 _BLOCK_NODES = 256
+# steps per block of transfer matrices in a sweep, and nodes per block of a
+# recombination (see scalar_march): the block's temporaries, about 17
+# words per step, sample and mode, are a sweep's largest transient
+_SWEEP_STEPS = 64
+# a sweep keeps its base-2 exponents as int32 and raises DomainError
+# before one could pass this, which leaves int32 the few bits a
+# renormalization or a recombination adds (see scalar_march)
+_MAX_EXPONENT = np.iinfo(np.int32).max - 64
 
 
 def fiber_direction(u):
@@ -382,6 +391,12 @@ def _renormalize(pairs, scales):
     scales += shift
 
 
+def _check_exponent(bits, where: str):
+    """Raise :class:`DomainError` if a sweep's exponent could reach ``bits``, past ``_MAX_EXPONENT``."""
+    if bits > _MAX_EXPONENT:
+        raise DomainError(f"a sweep's base-2 exponent could reach {bits:.6g} {where}, past the int32 range")
+
+
 def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: np.ndarray, lo: int, hi: int):
     """March scalar pairs (y, y') of y'' + k y = 0 from coarse node ``start`` to ``stop``.
 
@@ -396,19 +411,23 @@ def scalar_march(curvatures: np.ndarray, step: float, start: int, stop: int, F: 
     bit for bit, and every decision is per sample and mode, also beside a
     sample whose pair is NaN.  Returns the scaled pairs (nodes, 2, q, m, M)
     and the base-2 exponents (nodes, q, m, M) taken out of them, at the
-    coarse nodes of [lo, hi] that the march passes.
+    coarse nodes of [lo, hi] that the march passes.  The exponents are
+    int32: before a block of steps whose norms could carry one past
+    ``_MAX_EXPONENT``, the march raises :class:`DomainError`.
     """
     direction = -1 if stop < start else 1
-    scale = np.zeros(F.shape[1:], dtype=int)
-    pairs, scales = np.empty((hi - lo + 1,) + F.shape), np.empty((hi - lo + 1,) + scale.shape, dtype=int)
+    scale = np.zeros(F.shape[1:], dtype=np.int32)
+    pairs, scales = np.empty((hi - lo + 1,) + F.shape), np.empty((hi - lo + 1,) + scale.shape, dtype=np.int32)
     node = start
     if lo <= node <= hi:
         pairs[node - lo], scales[node - lo] = F, scale
     steps = abs(stop - start)
-    for first in range(0, steps, _BLOCK_NODES):
-        count = min(_BLOCK_NODES, steps - first)
+    for first in range(0, steps, _SWEEP_STEPS):
+        count = min(_SWEEP_STEPS, steps - first)
         T, bits = _transfer_block(curvatures, node, direction, count, direction * step)
         total = np.cumsum(bits)
+        # a pair at most 2^20 grows by at most its steps' norms, and scales only grow
+        _check_exponent(int(scale.max(initial=0)) + total[-1], f"after coarse node {node}")
         i = 0
         while i < count:
             # a run: steps i to end - 1, at least one, whose log2 norms sum to at most _RUN_BITS
@@ -452,18 +471,22 @@ def _recombine(pairs, scales, end, end_scales):
     ``end`` (2, 2, m, M) holds the pairs (y, y') of the new solutions at the
     anchor of D and N, and ``end_scales`` (2, m, M) their exponents.  At
     that anchor D = (0, -1) and N = (1, 0), so y N - y' D has the pair
-    (y, y') there; D and N are first brought to a common exponent.
+    (y, y') there; D and N are first brought to a common exponent.  The
+    nodes are combined a block at a time, so the temporaries stay small.
     """
-    common = np.maximum(scales[:, 0], scales[:, 1])
-    D, N = pairs[:, :, 0], pairs[:, :, 1]
-    for sol, s in ((D, scales[:, 0]), (N, scales[:, 1])):
-        np.ldexp(sol, (s - common)[:, None], out=sol)
-    new_D = N * end[0, 0] - D * end[1, 0]
-    N *= end[0, 1]
-    N -= D * end[1, 1]
-    D[...] = new_D
-    scales[...] = common[:, None] + end_scales
-    _renormalize(pairs, scales)
+    _check_exponent(int(scales.max(initial=0)) + int(end_scales.max(initial=0)), "on the window")
+    for a in range(0, len(pairs), _SWEEP_STEPS):
+        block, sc = pairs[a : a + _SWEEP_STEPS], scales[a : a + _SWEEP_STEPS]
+        common = np.maximum(sc[:, 0], sc[:, 1])
+        D, N = block[:, :, 0], block[:, :, 1]
+        for sol, s in ((D, sc[:, 0]), (N, sc[:, 1])):
+            np.ldexp(sol, (s - common)[:, None], out=sol)
+        new_D = N * end[0, 0] - D * end[1, 0]
+        N *= end[0, 1]
+        N -= D * end[1, 1]
+        D[...] = new_D
+        sc[...] = common[:, None] + end_scales
+        _renormalize(block, sc)
 
 
 def boundary_solve(curvatures: np.ndarray, step: float, anchor_c: int, zero_c: int, out_lo: int, out_hi: int,
@@ -511,10 +534,13 @@ def boundary_solve(curvatures: np.ndarray, step: float, anchor_c: int, zero_c: i
     zero = zero_c - out_lo
     y_zero = pairs[zero, 0, 0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = pairs[:, 1] / pairs[:, 0]
-        width = np.abs(u[:, 1] - u[:, 0])
-        ys = np.ldexp(pairs[:, :, 0] / y_zero, (scales[:, 0] - scales[zero, 0])[:, None])
-    width[~np.isfinite(width)] = np.inf
+        # one buffer holds u = y'/y of D and N, then the normalized modes
+        ys = np.divide(pairs[:, 1], pairs[:, 0], out=np.empty(pairs.shape[:1] + pairs.shape[2:]))
+        width = np.subtract(ys[:, 1], ys[:, 0])
+        np.abs(width, out=width)
+        np.divide(pairs[:, :, 0], y_zero, out=ys)
+        np.ldexp(ys, np.subtract(scales[:, 0], scales[zero, 0])[:, None], out=ys)
+    np.copyto(width, np.inf, where=~np.isfinite(width))
     singular = (y_zero == 0.0).any(axis=-1)
     ys[:, :, singular] = np.nan
     width[:, singular] = np.inf

@@ -143,26 +143,43 @@ class _Sweeps:
     the grown table equals that of one longer run bit for bit.  ``window``
     holds the coarse offsets (lo, hi) of the output window from t = 0, and
     ``max_unit`` each sample's largest unit-speed defect, which a growth
-    raises only for the samples that asked for it.
+    raises only for the samples it grows.
 
     A sweep keeps its Dirichlet and Neumann pairs on the window
     (:class:`engine.Basis`), so the next sweep of the same samples, or of
     some of them, from an endpoint further out marches only back to the
     previous endpoint; a sample whose sweep vanishes at t = 0 gets NaN
-    modes and an infinite bound.  A ``single`` driver (the single-sample
-    API) raises :class:`ConjugatePointDetected` there instead, and marches
-    every sweep the whole way, so each rung has the bits of a solve on its
-    own: its bounds reach rounding level (the width between two u near -1),
-    where the combined basis would round differently.
+    modes and an infinite bound.  Such a later sweep reads no coefficient
+    before the previous endpoint, so after each sweep whose endpoint lies
+    outside the window the table keeps only the part beyond it, and
+    :meth:`window_coefficients` keeps the window's coarse nodes for every
+    sample.  A sweep of fewer samples than the last (each call's samples
+    are a subset of the previous call's) first drops the others from the
+    table, its ends and the basis, so later rungs grow and march only the
+    samples still live; every operation is elementwise across samples, so
+    each sample keeps its bits.  A ``single`` driver (the single-sample
+    API) raises :class:`ConjugatePointDetected` where a sweep vanishes,
+    keeps its whole table and marches every sweep the whole way, so each
+    rung has the bits of a solve on its own: its bounds reach rounding
+    level (the width between two u near -1), where the combined basis
+    would round differently.
     """
 
     def __init__(self, spec, step, e, table, zero, ends, window, max_unit, single=False):
         self.spec, self.step, self.e = spec, step, e
         self.table, self.zero, self.ends = table, zero, ends
         self.window, self.max_unit, self.single = window, max_unit, single
-        self.basis = self.basis_live = None
+        self.lanes = np.arange(table.shape[1])  # the samples the table, ends and basis hold
+        self.basis = self._window = None
 
-    def _grow(self, side, steps, live):
+    def window_coefficients(self) -> np.ndarray:
+        """The coefficients (nodes, m, M) of every sample at the window's coarse nodes."""
+        if self._window is None:
+            lo, hi = (self.zero + k for k in self.window)
+            self._window = self.table[2 * lo : 2 * hi + 1 : 2].copy()
+        return self._window
+
+    def _grow(self, side, steps):
         """Grow the table by ``steps`` coarse steps past its first (side 0) or last (side 1) node."""
         seg = engine.integrate_states(
             self.spec, self.ends[side], self.e,
@@ -171,42 +188,60 @@ class _Sweeps:
         new = seg["curvatures"][1:, :, : self.table.shape[-1]]
         self.table = np.concatenate([self.table, new] if side else [new[::-1], self.table])
         self.zero += 0 if side else steps
-        # a frozen sample's defect covers only the rungs it used
-        self.max_unit[live] = np.maximum(self.max_unit[live], seg["max_unit_defect"][live])
+        self.max_unit[self.lanes] = np.maximum(self.max_unit[self.lanes], seg["max_unit_defect"])
         self.ends[side] = seg["final_state"]
 
-    def _basis_for(self, live):
-        """The stored basis restricted to the samples ``live``, or an empty one if it does not hold them all."""
-        basis, held = self.basis, self.basis_live
-        self.basis = None  # released before the sweep allocates
-        keep = None if held is None else np.isin(held, live)
-        if keep is None or not np.array_equal(held[keep], live):
-            return engine.Basis()
-        return basis if keep.all() else engine.Basis(basis.offset, basis.pairs[:, :, :, keep], basis.scales[:, :, keep])
+    def _keep(self, live):
+        """Drop the samples not in ``live`` from the table, the ends and the basis."""
+        keep = np.isin(self.lanes, live)
+        if not np.array_equal(self.lanes[keep], live):
+            raise ValueError("a sweep's samples must be a subset of the previous sweep's")
+        if keep.all():
+            return
+        self.window_coefficients()  # every sample's, before the table loses any
+        self.table = self.table[:, keep]
+        self.ends = [end[:, keep] for end in self.ends]
+        self.e, self.lanes = self.e[keep], self.lanes[keep]
+        basis, self.basis = self.basis, None
+        if basis is not None:
+            self.basis = engine.Basis(basis.offset, basis.pairs[:, :, :, keep], basis.scales[:, :, keep])
 
     def solve(self, r: float, live: np.ndarray) -> tuple:
         """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, and the bracket bounds.
 
         The bound of each sample in ``live`` is that of :func:`_bracket_bound`.
         """
+        self._keep(live)
         offset = round(r / self.step)
         anchor = self.zero + offset
         if anchor < 0:
-            self._grow(0, -anchor, live)
+            self._grow(0, -anchor)
             anchor = 0
         if 2 * anchor >= len(self.table):
-            self._grow(1, anchor - (len(self.table) - 1) // 2, live)
+            self._grow(1, anchor - (len(self.table) - 1) // 2)
         lo, hi = (self.zero + k for k in self.window)
-        first = min(lo, anchor)
+        basis = self.basis
+        if lo < 0 or 2 * hi >= len(self.table):  # the window's part is dropped: only the basis serves
+            prev = None if basis is None else self.zero + basis.offset
+            if prev is None or not (hi < prev < anchor or anchor < prev < lo):
+                raise ValueError("a sweep after a dropped window must reach past the previous endpoint")
+        first = max(0, min(lo, anchor))
         tab = self.table[2 * first : 2 * max(hi, anchor) + 1]
-        # copy the table only when some samples are frozen
-        tab = tab if len(live) == tab.shape[1] else tab[:, live]
         nodes = (k - first for k in (anchor, self.zero, lo, hi))
-        basis = None if self.single else self._basis_for(live)
+        basis = None if self.single else basis or engine.Basis()
         y, yp, width = engine.boundary_solve(tab, self.step, *nodes, basis=basis)
-        self.basis, self.basis_live = basis, live
-        if self.single and np.isnan(y[-self.window[0]]).any():  # a solution vanishes at t = 0
-            raise ConjugatePointDetected(f"two-point solve with endpoint r={offset * self.step} is singular")
+        del tab  # the table may be cut below
+        if self.single:
+            if np.isnan(y[-self.window[0]]).any():  # a solution vanishes at t = 0
+                raise ConjugatePointDetected(f"two-point solve with endpoint r={offset * self.step} is singular")
+        else:
+            self.basis = basis
+            if not lo <= anchor <= hi:
+                self.window_coefficients()
+            if anchor > hi:
+                self.table, self.zero = self.table[2 * anchor :].copy(), self.zero - anchor
+            elif anchor < lo:
+                self.table = self.table[: 2 * anchor + 1].copy()
         return y, yp, _bracket_bound(width, self.step, -self.window[0])
 
 
@@ -221,9 +256,11 @@ def _bracket_bound(width: np.ndarray, step: float, zero: int) -> np.ndarray:
     window.  The trapezoidal integral is summed outward from t = 0, so a
     time-reversed window gives the same bits.
     """
-    seg = 0.5 * step * (width[1:] + width[:-1])
-    right = np.cumsum(seg[zero:], axis=0)[-1] if zero < len(seg) else 0.0
-    left = np.cumsum(seg[zero - 1 :: -1], axis=0)[-1] if zero > 0 else 0.0
+    seg = width[1:] + width[:-1]
+    seg *= 0.5 * step
+    # each half summed in place, in order
+    right = np.cumsum(seg[zero:], axis=0, out=seg[zero:])[-1] if zero < len(seg) else 0.0
+    left = np.cumsum(seg[zero - 1 :: -1], axis=0, out=seg[zero - 1 :: -1])[-1] if zero > 0 else 0.0
     return np.maximum(width.max(axis=0), left + right).max(axis=-1)
 
 
@@ -278,7 +315,7 @@ def solve_boundary(path: GeodesicPath, r: float) -> MatrixJacobiSolution:
     return sol
 
 
-def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: float):
+def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: float, zero: int = 0):
     """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid), per sample until its bracket certifies it.
 
     ``solve(r, live)`` returns the modes (y, y') for the samples ``live`` (an
@@ -287,7 +324,11 @@ def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: floa
     sample is frozen at the first rung whose bound is below ``tol`` and
     keeps that rung's (y, y') and bound, so its result does not depend on
     the other samples.  Later rungs run only for the samples still live,
-    until none is, for at most ``max_doublings`` doublings.
+    until none is, for at most ``max_doublings`` doublings.  A sample whose
+    modes are NaN at the window node ``zero`` (t = 0; its sweep vanished
+    there, see :func:`engine.boundary_solve`) is frozen at that rung too,
+    with its NaN modes and infinite bound: a further doubling would only
+    repeat the sweep.
 
     From the second rung on, a live sample with finite bounds b_prev and b
     at its last two rungs also stops, uncertified, when its decay cannot
@@ -311,15 +352,18 @@ def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: floa
     rungs, gaps = [], []
     y = yp = None
     for left in range(max_doublings, -1, -1):
+        if len(live) == m:  # every sample's modes are replaced: released before the sweep allocates
+            y = yp = None
         yr, ypr, bound = solve(r, live)
         rungs.append(r)
+        done = (bound < tol) | np.isnan(yr[zero]).any(axis=-1)
         if y is None:
             y, yp = yr, ypr
         else:
             y[:, live], yp[:, live] = yr, ypr
+        del yr, ypr
         gaps.append(gaps[-1].copy() if gaps else np.empty(m))
         gaps[-1][live] = bound
-        done = bound < tol
         if len(gaps) > 1:
             prev = gaps[-2][live]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -345,7 +389,7 @@ def _green_limit(
     w_lo, w_hi = window
     r_start = side * max(r0, abs(w_hi) + 4.0, abs(w_lo) + 4.0, t_obs + 4.0)
     sweeps, wpath, times = _path_sweeps(path, w_lo, w_hi)
-    (y, yp), rungs, gaps = _ladder(sweeps.solve, 1, r_start, path.step, max_doublings, tol)
+    (y, yp), rungs, gaps = _ladder(sweeps.solve, 1, r_start, path.step, max_doublings, tol, -sweeps.window[0])
     gaps = [float(g[0]) for g in gaps]
     name, U0 = ("stable", "Us0") if side > 0 else ("unstable", "Uu0")
     meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1],
@@ -491,7 +535,8 @@ def _flow_norms(y: np.ndarray, yp: np.ndarray, zero: int) -> np.ndarray:
     each block of rank one.  y and yp have shape (nodes, ..., M).
     """
     size = np.hypot(y, yp)
-    return (size / size[zero]).max(axis=-1)
+    size /= size[zero]
+    return size.max(axis=-1)
 
 
 def dphi_norm_series(solution: MatrixJacobiSolution) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpflow import criterion
 from warpflow.criterion import (
     AveragedCurvatureSeries,
     averaged_curvature,
@@ -232,9 +233,35 @@ class TestVerdicts:
         for spec, kw in ((anosov_spec, periodic), (counter_spec, counter)):
             self._check_chunk_sizes(spec, kw)
 
+    def test_byte_budget_batches_keep_the_bits(self, counter_spec, monkeypatch):
+        # a budget of a third of the distinct data's estimate runs them in
+        # three batches, with the bits of one batch
+        kw = dict(step=0.1, seed=0, samples=6, t_min=10.0, horizon=12.0,
+                  green_tol=1e-4, green_max_doublings=2, drift_tol=1e-3)
+        batches = []
+        pipeline = criterion._chunk_pipeline
+
+        def counting(spec, thetas, **kwargs):
+            batches.append(len(thetas))
+            return pipeline(spec, thetas, **kwargs)
+
+        monkeypatch.setattr(criterion, "_chunk_pipeline", counting)
+        one = run_anosov_check(counter_spec, **kw)
+        distinct = batches.pop()
+        assert batches == [] and distinct == 6
+        per_sample = criterion._sample_bytes(2 * round(28.0 / 0.1) + 1, round(12.0 / 0.1) + 1, 2)
+        monkeypatch.setattr(criterion, "_BATCH_BYTES", per_sample * distinct // 3)
+        self._check_same_results([one, run_anosov_check(counter_spec, **kw)])
+        assert batches == [2, 2, 2]
+
     @staticmethod
     def _check_chunk_sizes(spec, kw):
-        runs = [run_anosov_check(spec, chunk_size=size, workers=1, **kw) for size in (1, 3, 28)]
+        TestVerdicts._check_same_results(
+            [run_anosov_check(spec, chunk_size=size, workers=1, **kw) for size in (1, 3, 28, None)]
+        )
+
+    @staticmethod
+    def _check_same_results(runs):
         ref = runs[0]
         for other in runs[1:]:
             assert np.array_equal(ref.report.B_est, other.report.B_est)
@@ -291,6 +318,19 @@ class TestDeduplication:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad, name", [
+        pytest.param(dict(samples=0), "samples", id="samples=0"),
+        pytest.param(dict(chunk_size=0), "chunk_size", id="chunk_size=0"),
+        pytest.param(dict(step=-0.05), "step", id="step=-0.05"),
+    ])
+    def test_bad_run_input_fails_before_sampling(self, anosov_spec, monkeypatch, bad, name):
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(criterion, "sample_thetas", sample)
+        with pytest.raises(DomainError, match=name):
+            run_anosov_check(anosov_spec, **{**dict(samples=4, t_min=1.0, horizon=2.0), **bad})
+
     @pytest.mark.parametrize("green_r0", [5.0, 10.0])
     def test_green_r0_inside_horizon_rejected(self, anosov_spec, green_r0):
         # a first leg ending inside the window would leave its nodes past r0 unswept

@@ -18,6 +18,7 @@ from warpflow import engine, scenarios
 from warpflow.criterion import (
     _chunk_pipeline,
     _curvature_averages,
+    _sample_bytes,
     _sasaki_mode_weights,
     averaged_curvature,
     run_anosov_check,
@@ -71,7 +72,9 @@ def _oracle(y, yp, k, c, times):
 
 def _scalar(y, yp, k, c, times):
     weights = _sasaki_mode_weights(c, yp[0])
-    return weights, _flow_norms(y, yp, 0), _curvature_averages(y, k[..., : y.shape[-1]], weights, times)
+    averages, jnorms, degenerate = _curvature_averages(y, k[..., : y.shape[-1]], weights, times,
+                                                       np.arange(len(times)))
+    return weights, _flow_norms(y, yp, 0), (averages[1:], jnorms, degenerate)
 
 
 @pytest.mark.parametrize("name, n", CASES)
@@ -179,9 +182,12 @@ def _pipeline_peak(spec):
     try:
         _chunk_pipeline(spec, thetas, step=0.02, horizon=20.0, green_tol=1e-8, green_r0=36.0,
                         green_max_doublings=0, drift_tol=1e-5, series_stride=25)
-        return tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the batch stays within the per-sample estimate that sizes batches
+    assert peak <= 16 * _sample_bytes(2 * 1800 + 1, 1000 + 1, min(spec.n, 2))
+    return peak
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

@@ -5,7 +5,7 @@ import pytest
 from sweep_oracle import matrix_boundary_solve, per_step_march, rk4_transfer
 from warpflow import criterion, engine, jacobi, scenarios
 from warpflow.criterion import sample_thetas
-from warpflow.errors import ConjugatePointDetected
+from warpflow.errors import ConjugatePointDetected, DomainError
 from warpflow.geodesics import integrate_geodesic, unit_tangent_from_direction
 
 C_UNIT = np.array([[0.6, 0.8]])
@@ -223,18 +223,36 @@ def test_runwise_rescale_represents_the_per_step_values(q, forward):
 
 
 def test_runs_split_a_block_that_would_overflow_unsplit():
-    # step * sqrt|k| = 10: each transfer matrix has a row-sum norm near 2^9.3,
-    # so a block of 256 steps multiplies to about 2^2400, far past the
+    # step * sqrt|k| = 100: each transfer matrix has a row-sum norm near
+    # 2^22, so a block of 64 steps multiplies to about 2^1400, far past the
     # largest double; the runs rescale inside the block and match the
     # per-step march
-    step, steps, k = 0.5, 300, -400.0
+    step, steps, k = 0.5, 300, -40000.0
     table = np.full((2 * steps + 1, 1, 2), k)
-    _, bits = engine._transfer_block(table, 0, 1, 256, step)
+    _, bits = engine._transfer_block(table, 0, 1, engine._SWEEP_STEPS, step)
     assert bits.sum() > 1100 > engine._RUN_BITS
     F = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 1, 2))
     got = engine.scalar_march(table, step, 0, steps, F, 0, steps)
     assert np.isfinite(got[0]).all()
     _assert_same_represented(got, per_step_march(table, step, 0, steps, F, 0, steps))
+
+
+def test_exponents_that_could_leave_int32_raise(monkeypatch):
+    # step * sqrt|k| = 10: about 9.3 bits per step, so 300 steps carry the
+    # exponents to about 2800; under a limit of 2000 the march raises
+    # before one passes it, as it does near 2^31
+    step, steps = 0.5, 300
+    table = np.full((2 * steps + 1, 1, 2), -400.0)
+    F = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 1, 2))
+    _, scales = engine.scalar_march(table, step, 0, steps, F, 0, steps)
+    assert scales.dtype == np.int32 and scales.max() > 2500
+    monkeypatch.setattr(engine, "_MAX_EXPONENT", 2000)
+    with pytest.raises(DomainError, match="int32"):
+        engine.scalar_march(table, step, 0, steps, F, 0, steps)
+    # a recombination whose exponents would sum past the limit raises too
+    pairs, scales = np.ones((3, 2, 2, 1, 1)), np.full((3, 2, 1, 1), 1000, dtype=np.int32)
+    with pytest.raises(DomainError, match="int32"):
+        engine._recombine(pairs, scales, np.ones((2, 2, 1, 1)), np.full((2, 1, 1), 1100, dtype=np.int32))
 
 
 def _counter_driver(spec, step, count=10, hi=40):
@@ -333,3 +351,28 @@ def test_singular_sweep_is_a_vanishing_field_failure(anosov_spec, monkeypatch):
     assert len(result.series) == len(kept) == len(plain.series) - anosov_spec.n
     assert all(np.array_equal(a.values, b.values) and key(a.theta) == key(b.theta)
                for a, b in zip(result.series, kept))
+
+
+def test_vanishing_sample_stops_at_its_first_singular_rung(anosov_spec, monkeypatch):
+    # the two poles (distinct data 0 and 1, each the other's flip) have
+    # k1 = k2 at every node; here their sweeps vanish at every rung.  With
+    # two doublings allowed, each is frozen at the first rung, and stays a
+    # vanishing_field failure without a green_gap one
+    solve = engine.boundary_solve
+    poles_per_sweep = []
+
+    def vanishing_poles(curvatures, step, *nodes, **kwargs):
+        pole = (curvatures[..., 0] == curvatures[..., 1]).all(axis=0)
+        poles_per_sweep.append(int(pole.sum()))
+        curvatures = curvatures.copy()
+        curvatures[:, pole] = 6.0 / step**2
+        return solve(curvatures, step, *nodes, **kwargs)
+
+    monkeypatch.setattr(engine, "boundary_solve", vanishing_poles)
+    result = criterion.run_anosov_check(anosov_spec, step=1.0 / 32.0, samples=4, t_min=1.0, horizon=2.0,
+                                        green_max_doublings=2)
+    assert poles_per_sweep[0] == 2 and not any(poles_per_sweep[1:])
+    hit = {(0, "stable"), (1, "stable"), (0, "flip"), (1, "flip")}
+    assert [(f["theta"], f["side"]) for f in result.report.failures if f["kind"] == "vanishing_field"] == [
+        (0, "stable"), (1, "stable"), (0, "flip"), (1, "flip")]
+    assert not [f for f in result.report.failures if f["kind"] == "green_gap" and (f["theta"], f["side"]) in hit]
