@@ -315,12 +315,15 @@ def sample_thetas(
     ``count`` is a multiple of an even ``directions``; otherwise the last
     block lacks the negatives of some of its velocities: with n = 3 (14
     directions) and ``count`` = 20, 16 of the 20 flipped data are in the
-    sample.  Returns (thetas, description).
+    sample.  A ``count`` of 1 takes the covering's first pole; one below 1
+    raises :class:`DomainError`.  Returns (thetas, description).
     """
+    if count < 1:
+        raise DomainError(f"count = {count} must be >= 1")
     dim = spec.n + 1
     if directions <= 0:
         directions = {2: 8, 3: 14}.get(dim, 2 * dim + 6)
-    directions = min(directions, count)
+    directions = max(2, min(directions, count))
     nx = int(np.ceil(count / directions))
     if x_span is None:
         x_span = float(spec.period) if spec.period is not None else 50.0

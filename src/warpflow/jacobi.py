@@ -22,14 +22,14 @@ the flow-derivative norms work; the ladder stops at the first rung whose
 Dirichlet-Neumann bracket certifies the limit.  Every two-point solve, batched
 (``criterion``) or single-sample (m = 1), sweeps the table of one driver,
 :class:`_Sweeps`, which grows the (k1, k2) table past the stored data as far
-as r needs and stores no path there.  In the batched ladder a later rung
-marches only from its anchor back to the previous rung's and reads its
-window solution off the previous rung's Dirichlet and Neumann solutions
-there, y N - y' D with (y, y') its pair at the old anchor; the single-sample
-solves march every rung the whole way.  Initial-value solves march the scalar
-fundamental pairs (A_k, B_k) both ways from t = 0 and assemble
-Y = sum_k P_k (A_k Y(0) + B_k Y'(0)) with P_1 = c c^T, P_2 = I - c c^T; they
-carry no modes.
+as r needs and stores no path there.  In the ladder a later rung marches
+only from its anchor back to the previous rung's and reads its window
+solution off the previous rung's Dirichlet and Neumann solutions there,
+y N - y' D with (y, y') its pair at the old anchor, so a single-sample
+limit has the bits of its datum's column in a batch.  Initial-value solves
+march the scalar fundamental pairs (A_k, B_k) both ways from t = 0 and
+assemble Y = sum_k P_k (A_k Y(0) + B_k Y'(0)) with P_1 = c c^T,
+P_2 = I - c c^T; they carry no modes.
 """
 from __future__ import annotations
 
@@ -157,18 +157,13 @@ class _Sweeps:
     are a subset of the previous call's) first drops the others from the
     table, its ends and the basis, so later rungs grow and march only the
     samples still live; every operation is elementwise across samples, so
-    each sample keeps its bits.  A ``single`` driver (the single-sample
-    API) raises :class:`ConjugatePointDetected` where a sweep vanishes,
-    keeps its whole table and marches every sweep the whole way, so each
-    rung has the bits of a solve on its own: its bounds reach rounding
-    level (the width between two u near -1), where the combined basis
-    would round differently.
+    each sample keeps its bits.
     """
 
-    def __init__(self, spec, step, e, table, zero, ends, window, max_unit, single=False):
+    def __init__(self, spec, step, e, table, zero, ends, window, max_unit):
         self.spec, self.step, self.e = spec, step, e
         self.table, self.zero, self.ends = table, zero, ends
-        self.window, self.max_unit, self.single = window, max_unit, single
+        self.window, self.max_unit = window, max_unit
         self.lanes = np.arange(table.shape[1])  # the samples the table, ends and basis hold
         self.basis = self._window = None
 
@@ -212,8 +207,7 @@ class _Sweeps:
         The bound of each sample in ``live`` is that of :func:`_bracket_bound`.
         """
         self._keep(live)
-        offset = round(r / self.step)
-        anchor = self.zero + offset
+        anchor = self.zero + round(r / self.step)
         if anchor < 0:
             self._grow(0, -anchor)
             anchor = 0
@@ -228,20 +222,15 @@ class _Sweeps:
         first = max(0, min(lo, anchor))
         tab = self.table[2 * first : 2 * max(hi, anchor) + 1]
         nodes = (k - first for k in (anchor, self.zero, lo, hi))
-        basis = None if self.single else basis or engine.Basis()
-        y, yp, width = engine.boundary_solve(tab, self.step, *nodes, basis=basis)
+        self.basis = basis or engine.Basis()
+        y, yp, width = engine.boundary_solve(tab, self.step, *nodes, basis=self.basis)
         del tab  # the table may be cut below
-        if self.single:
-            if np.isnan(y[-self.window[0]]).any():  # a solution vanishes at t = 0
-                raise ConjugatePointDetected(f"two-point solve with endpoint r={offset * self.step} is singular")
-        else:
-            self.basis = basis
-            if not lo <= anchor <= hi:
-                self.window_coefficients()
-            if anchor > hi:
-                self.table, self.zero = self.table[2 * anchor :].copy(), self.zero - anchor
-            elif anchor < lo:
-                self.table = self.table[: 2 * anchor + 1].copy()
+        if not lo <= anchor <= hi:
+            self.window_coefficients()
+        if anchor > hi:
+            self.table, self.zero = self.table[2 * anchor :].copy(), self.zero - anchor
+        elif anchor < lo:
+            self.table = self.table[: 2 * anchor + 1].copy()
         return y, yp, _bracket_bound(width, self.step, -self.window[0])
 
 
@@ -286,7 +275,7 @@ def _path_sweeps(path: GeodesicPath, lo_t: float, hi_t: float) -> tuple:
     zero = wpath.coarse_index(0.0)
     ends = [wpath.slice_state_at(j) for j in (0, -1)]
     table = wpath.curvatures[:, None, : min(path.n, 2)]
-    sweeps = _Sweeps(path.spec, step, wpath.e[None], table, zero, ends, (lo, hi), np.zeros(1), single=True)
+    sweeps = _Sweeps(path.spec, step, wpath.e[None], table, zero, ends, (lo, hi), np.zeros(1))
     return sweeps, wpath, wpath.times[zero + lo : zero + hi + 1].copy()
 
 
@@ -296,7 +285,8 @@ def solve_boundary(path: GeodesicPath, r: float) -> MatrixJacobiSolution:
     Past the path the coefficient table is grown (integration resumed from
     its ends) up to r, and the path is not; the growth is not drift-checked,
     and its largest unit-speed defect is ``meta["growth_unit_defect"]``.
-    The endpoint condition holds exactly by construction.
+    The endpoint condition holds exactly by construction.  A solution that
+    vanishes at t = 0 raises :class:`ConjugatePointDetected`.
     """
     r_snap = round(r / path.step) * path.step
     if r_snap == 0.0:
@@ -305,6 +295,8 @@ def solve_boundary(path: GeodesicPath, r: float) -> MatrixJacobiSolution:
     out_hi = min(path.t_hi, r_snap) if r > 0 else path.t_hi
     sweeps, wpath, times = _path_sweeps(path, min(out_lo, 0.0), max(out_hi, 0.0))
     y, yp, _ = sweeps.solve(r, np.arange(1))
+    if np.isnan(y[-sweeps.window[0]]).any():  # the solution vanishes at t = 0
+        raise ConjugatePointDetected(f"two-point solve with endpoint r={r_snap} is singular")
     sol = _modal_solution(wpath, times, y[:, 0], yp[:, 0], "boundary", r=r_snap)
     sol.meta["growth_unit_defect"] = float(sweeps.max_unit[0])
     if times[0] - 1e-12 <= r_snap <= times[-1] + 1e-12:
@@ -390,6 +382,8 @@ def _green_limit(
     r_start = side * max(r0, abs(w_hi) + 4.0, abs(w_lo) + 4.0, t_obs + 4.0)
     sweeps, wpath, times = _path_sweeps(path, w_lo, w_hi)
     (y, yp), rungs, gaps = _ladder(sweeps.solve, 1, r_start, path.step, max_doublings, tol, -sweeps.window[0])
+    if np.isnan(y[-sweeps.window[0]]).any():  # the last rung's solution vanishes at t = 0
+        raise ConjugatePointDetected(f"two-point solve with endpoint r={rungs[-1]} is singular")
     gaps = [float(g[0]) for g in gaps]
     name, U0 = ("stable", "Us0") if side > 0 else ("unstable", "Uu0")
     meta = {"r_ladder": rungs, "gaps": gaps, "final_gap": gaps[-1],
@@ -424,7 +418,12 @@ def green_stable(
     the bounds' decay cannot reach ``tol`` in the doublings left (see
     :func:`_ladder`; a decay that speeds up later is the one case this
     misses).  On failure to certify, :class:`GreenNotConverged` carries the
-    last iterate and the bounds.
+    last iterate and the bounds; a two-point solution that vanishes at t = 0
+    raises :class:`ConjugatePointDetected`.  A ladder can reach
+    r = r0 2^max_doublings (r0 as raised), and the early stop need not come
+    soon: at the defaults the counterexample datum x0 = 0.5, b0 = 0.3 (n = 2,
+    t_obs 8, step 0.01) stops at r = 6,144 after 10 rungs, 36 s on a 2-core
+    machine.  Pass a smaller ``max_doublings`` on slowly contracting data.
     A window that leaves the path is integrated from the path's start datum
     without a drift check, and the solution's path ends at the window: past
     it only the coefficient table grows, also unchecked; the growth's
@@ -444,7 +443,8 @@ def green_unstable(
     """Limit of two-point solutions with vanishing end r -> -inf, on [0, t_obs].
 
     The two-point solves anchor at negative r; otherwise as :func:`green_stable`,
-    including the ladder's early stop of a bracket that cannot reach ``tol``.
+    including the ladder's early stop of a bracket that cannot reach ``tol``
+    and its reach of up to r = -r0 2^max_doublings.
     """
     return _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))
 

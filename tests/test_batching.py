@@ -6,8 +6,10 @@ per-sample outputs must agree bit for bit.
 import numpy as np
 import pytest
 
-from warpflow import engine, scenarios
+from warpflow import engine, jacobi, scenarios
 from warpflow.criterion import _chunk_pipeline, sample_thetas
+from warpflow.errors import GreenNotConverged
+from warpflow.geodesics import integrate_geodesic
 
 
 def _start_arrays(spec, thetas):
@@ -127,3 +129,24 @@ def test_mixed_rung_chunk_matches_solo_runs(anosov_spec, monkeypatch):
         for key in ("green_gap", "max_unit_defect"):
             assert np.array_equal(batch[key][s], alone[key][0]), key
     assert sorted(set(solo_legs)) == [1, 2]
+
+
+@pytest.mark.parametrize("spec, tol", [
+    (scenarios.build_anosov_example(3.0, n=1), 1e-8),
+    (scenarios.build_anosov_example(3.0, n=2), 1e-8),
+    (scenarios.build_counterexample(n=3), 1e-4),  # every datum stops uncertified after 2 rungs
+], ids=["periodic-n1", "periodic-n2", "counterexample-n3"])
+def test_single_sample_limit_is_its_pipeline_column(spec, tol):
+    # green_stable is the batched sweep driver at m = 1: each datum's flow
+    # norms and final bracket bound have the bits of its column in a batch
+    thetas = sample_thetas(spec, 8)[0]
+    batch = _chunk_pipeline(spec, thetas, step=0.02, horizon=2.0, green_tol=tol, green_r0=6.0,
+                            green_max_doublings=3, drift_tol=1e-5, series_stride=25)
+    for i, th in enumerate(thetas):
+        path = integrate_geodesic(spec, th, 2.0, 0.02, drift_tol=None)
+        try:
+            sol = jacobi.green_stable(path, t_obs=2.0, tol=tol, r0=6.0, max_doublings=3)
+        except GreenNotConverged as exc:
+            sol = exc.last_solution
+        assert np.array_equal(jacobi.dphi_norm_series(sol), batch["norms"][:, i])
+        assert sol.meta["final_gap"] == batch["green_gap"][i]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpflow import criterion
+from warpflow import criterion, scenarios
 from warpflow.criterion import (
     AveragedCurvatureSeries,
     averaged_curvature,
@@ -168,6 +168,44 @@ class TestSampling:
         thetas, desc = sample_thetas(counter_spec, 40, seed=0, x_span=60.0)
         assert desc["x_span"] == 60.0
         assert max(t.x for t in thetas) > 20.0
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_small_counts(self, anosov_spec, count):
+        # below 1 an input error; 1 the covering's first pole, 2 both poles
+        kw = dict(step=0.05, samples=count, t_min=1.0, horizon=2.0)
+        if count < 1:
+            with pytest.raises(DomainError):
+                sample_thetas(anosov_spec, count)
+            with pytest.raises(DomainError):
+                run_anosov_check(anosov_spec, **kw)
+            return
+        thetas, desc = sample_thetas(anosov_spec, count)
+        assert [t.dx for t in thetas] == [1.0, -1.0][:count]
+        assert desc["count"] == count and desc["directions"] == 2
+        assert run_anosov_check(anosov_spec, **kw).report.sample["count"] == count
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pole_samples_shrink_by_the_period_factor(n):
+    # on the axis geodesics of the periodic warp the stable field is
+    # f I / (f(x0) I(x0)), I(x) = int_x^inf f^-2, at b0 = 1 and f / f(x0) at
+    # b0 = -1, and f(x + 2 pi) = e^{2 pi a} f(x): over each whole period the
+    # pipeline's flow norm shrinks by exactly e^{-2 pi a}.  RK4 meets that to
+    # fourth order in the step 2 pi / N
+    a = 3.0
+    spec = scenarios.build_anosov_example(a, n=n)
+    poles = sample_thetas(spec, 2)[0]
+    assert [th.dx for th in poles] == [1.0, -1.0]
+    errors = []
+    for N in (128, 256):
+        out = criterion._chunk_pipeline(
+            spec, poles, step=2.0 * np.pi / N, horizon=4.0 * np.pi, green_tol=1e-8, green_r0=4.0 * np.pi + 16.0,
+            green_max_doublings=3, drift_tol=1e-5, series_stride=25)
+        assert out["green_ok"].all()
+        norms = out["norms"]
+        errors.append(np.abs(norms[N:] / norms[:-N] * np.exp(2.0 * np.pi * a) - 1.0).max())
+    assert errors[1] < 1.5e-5
+    assert errors[0] / errors[1] >= 8.0
 
 
 @pytest.fixture(scope="module")

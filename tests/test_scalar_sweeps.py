@@ -329,6 +329,40 @@ def test_single_sample_solves_raise_on_a_singular_sweep(anosov_spec, monkeypatch
         jacobi.green_stable(path, 2.0)
 
 
+def _vanishing_from_call(monkeypatch, first):
+    """Make ``engine.boundary_solve`` return the output of a sweep that vanishes at t = 0 from call ``first`` on.
+
+    A later rung marches only back to the previous anchor, so a table
+    changed past it cannot make the window's solution vanish; the NaN modes
+    and infinite widths are what :func:`engine.boundary_solve` returns for
+    such a sweep.  Returns the list of calls.
+    """
+    solve, calls = engine.boundary_solve, []
+
+    def vanishing(*args, **kwargs):
+        y, yp, width = solve(*args, **kwargs)
+        calls.append(None)
+        if len(calls) > first:
+            y[:], yp[:], width[:] = np.nan, np.nan, np.inf
+        return y, yp, width
+
+    monkeypatch.setattr(engine, "boundary_solve", vanishing)
+    return calls
+
+
+@pytest.mark.parametrize("side, green", [(1, jacobi.green_stable), (-1, jacobi.green_unstable)])
+def test_single_sample_limit_raises_when_a_later_rung_vanishes(anosov_spec, monkeypatch, side, green):
+    # at tol 1e-300 the first rung (r = 8) is not certified, and the second
+    # (r = 16) vanishes: the ladder freezes the sample there, and the limit
+    # raises instead of returning NaN modes
+    th = unit_tangent_from_direction(anosov_spec, 0.4, np.zeros(2), -0.3, [0.6, 0.742])
+    path = integrate_geodesic(anosov_spec, th, 2.0, 1.0 / 32.0, drift_tol=None)
+    calls = _vanishing_from_call(monkeypatch, 1)
+    with pytest.raises(ConjugatePointDetected, match=f"r={16.0 * side}"):
+        green(path, 2.0, tol=1e-300, max_doublings=2)
+    assert len(calls) == 2
+
+
 def test_singular_sweep_is_a_vanishing_field_failure(anosov_spec, monkeypatch):
     # the run's distinct datum 1 vanishes at t = 0: sample 1, a pole, which
     # also serves as the flip of sample 0, the other pole at the same x.
