@@ -65,7 +65,7 @@ def check_workloads() -> tuple:
 
 def _single_path(out: Path, seed: int) -> None:
     """One round of the ``single-path`` operation at ``seed``, one JSON file per request."""
-    import warpflow  # the package imports every module that the workload reads
+    import warpflow  # the workload's wf.<module> names load their modules on first access
 
     workload = _workloads().WORKLOADS["single-path"]
     state = workload.prepare(warpflow, out, seed)

@@ -26,6 +26,15 @@ vectors: u = s e, y = y0 + Y e and the fiber momenta p_i = f^2 y_i' = P e_i
 with P = f s, which is evaluated through logs.  All of these stay O(1)
 while f(x) sweeps hundreds of orders of magnitude.
 
+The RK4 step.  One stepper (:func:`_rk4_step`) serves the loop and the Y
+increments, and each of its four stages has a fixed buffer with one row
+more than the state.  The loop's stage state (x, u0, s) goes into rows
+0-2; the right-hand side writes s' into row 3 and only then u0' over s in
+row 2, so rows 1-3 are the stage derivative (x', u0', s') = (u0, u0', s')
+without a copy.  The Y increments use five rows (x, u0, s, Y, spare): Y'
+goes into the spare row first, then s' over Y and u0' over s.  A step
+repeats the operations of an allocating RK4 in their order, bit for bit.
+
 Frame and curvature in closed form.  E1 = (-s, u0 e) (the velocity v
 turned by 90 degrees in the slice) and every (0, w) with w normal to e are
 parallel, so a parallel frame is V_i = c_i E1 + (0, w_i) with constant c
@@ -168,17 +177,46 @@ def _rk4_weights(h: float) -> tuple:
     return tuple(np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
 
 
-def _rk4_step(rhs, y, h):
-    """One classic RK4 step of y' = rhs(stage, y) over a step h.
+def _rk4_buffers(n: int, shape: tuple) -> tuple:
+    """The four stage buffers of :func:`_rk4_step` for n state rows of ``shape``.
 
-    ``stage`` counts half steps into the step (0, 1, 1, 2), for right-hand
-    sides that read coefficients tabulated on a half-step grid.
+    Each buffer has n + 1 rows and is returned as its tuple of rows, its
+    state view (rows 0 to n - 1) and its derivative view (rows 1 to n).
+    The views are made once, here: making one costs about half of an
+    operation on a row.
+    """
+    return tuple((tuple(b), b[:n], b[1:]) for b in np.empty((4, n + 1) + shape))
+
+
+def _rk4_step(rhs, y, h, stages):
+    """One classic RK4 step of y' = f(y) over a step h, in fixed stage buffers (:func:`_rk4_buffers`).
+
+    The step writes each stage's state into rows 0 to n - 1 of the stage's
+    buffer, and ``rhs(rows)`` overwrites rows 1 to n with f of that state,
+    so rows 1 to n are the stage derivative k without a copy (module
+    docstring).  That needs f's row i to read only the state's rows 0 to
+    i + 1, written from the last row up.  The operations and their order
+    are those of
+
+        k1 = f(y), k2 = f(y + (h/2) k1), k3 = f(y + (h/2) k2), k4 = f(y + h k3),
+        y + (h/6) (k1 + 2 k2 + 2 k3 + k4),
+
+    so the bits are those of an allocating RK4.  Besides the new state,
+    only the temporaries of that arithmetic are allocated: numpy serves
+    small ones from a cache, so writing them into work arrays with out=
+    would save nothing, and an in-place operation on a one-element row
+    (m = 1) costs about twice an allocating one.
     """
     half, full, sixth, two = _rk4_weights(h)
-    k1 = rhs(0, y)
-    k2 = rhs(1, y + half * k1)
-    k3 = rhs(1, y + half * k2)
-    k4 = rhs(2, y + full * k3)
+    (r1, y1, k1), (r2, y2, k2), (r3, y3, k3), (r4, y4, k4) = stages
+    np.copyto(y1, y)
+    rhs(r1)
+    np.add(y, half * k1, out=y2)
+    rhs(r2)
+    np.add(y, half * k2, out=y3)
+    rhs(r3)
+    np.add(y, full * k3, out=y4)
+    rhs(r4)
     return y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
@@ -246,22 +284,20 @@ def integrate_states(
     # WarpSpec.log_slope without its dispatch, which would run at every stage
     log_slope = spec.log_slope if spec.slope is None else spec.slope
 
-    def rhs(_stage, S):
-        gp = log_slope(S[0])
-        u0s, s = S[1], S[2]
-        dS = np.empty_like(S)
-        dS[0] = u0s
-        dS[1] = gp * (s * s)
-        dS[2] = -(gp * u0s) * s
-        return dS
+    def rhs(rows):
+        """Rows (x, u0, s, .) of a stage buffer become (x, u0, u0', s'): s' first, then u0' over s."""
+        x, u0s, s, ds = rows
+        gp = log_slope(x)
+        np.multiply(-(gp * u0s), s, out=ds)
+        np.multiply(gp, s * s, out=s)
 
-    def fiber_rhs(stage, S):
-        """``rhs`` with the row Y' = e^{-g} s: Y is cyclic, so it never feeds back."""
-        dS = np.empty_like(S)
-        dS[:3] = rhs(stage, S[:3])
-        s = S[2]
-        dS[3] = np.where(s == 0.0, 0.0, np.exp(-spec.triple(S[0])[0]) * s)
-        return dS
+    def fiber_rhs(rows):
+        """``rhs`` on rows (x, u0, s, Y, .), after Y' = e^{-g} s into the last row (Y never feeds back)."""
+        x, _, s, _, dY = rows
+        dY[...] = np.where(s == 0.0, 0.0, np.exp(-spec.triple(x)[0]) * s)
+        rhs(rows[:4])
+
+    buffers = _rk4_buffers(3, (m,))
 
     def flush(j0, count):
         """Curvature coefficients, defects and Y of the ``count`` tabulated nodes from node j0 on."""
@@ -295,7 +331,7 @@ def integrate_states(
             # the loop's arithmetic and summed in the loop's order
             steps = count if j0 + count < J else count - 1
             start = np.concatenate([table[:, :steps], np.zeros((1, steps, m))])
-            increments = _rk4_step(fiber_rhs, start, hf)[3]
+            increments = _rk4_step(fiber_rhs, start, hf, _rk4_buffers(4, (steps, m)))[3]
             Y = np.add.accumulate(np.concatenate([Y_carry[None], increments]))
             out["Y"][nodes] = Y[:count]
             Y_carry = Y[-1]
@@ -309,7 +345,7 @@ def integrate_states(
             if i == block - 1 or j == J - 1:
                 flush(j - i, i + 1)
             if j < J - 1:
-                S = _rk4_step(rhs, S, hf)
+                S = _rk4_step(rhs, S, hf, buffers)
 
     out["max_unit_defect"] = max_unit
     out["max_momentum_defect"] = max_mom
@@ -352,8 +388,8 @@ def _transfer_block(curvatures, node, direction, count, h):
     Returns T (count, 2, 2, 1, m, M) with T[i, j] the column j of step i's
     matrix ((y, y') after step i is T[i, 0] y + T[i, 1] y' before it), and
     the log2 of each step's largest row-sum norm over the lanes whose
-    matrix is finite (at least 0).  The entries repeat the operations
-    :func:`_rk4_step` performs on the identity, dropping only products by
+    matrix is finite (at least 0).  The entries repeat the operations of
+    classic RK4 (:func:`_rk4_step`) on the identity, dropping only products by
     an exact 0 or 1 and sums with an exact 0, so they have its bits on
     finite coefficients; a non-finite k gives a non-finite matrix (RK4 on
     the identity makes every entry NaN, this only those that read k).

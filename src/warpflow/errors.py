@@ -9,7 +9,7 @@ class DegeneratePlane(DomainError):
     """Raised when two vectors fail to span a 2-plane."""
 
 
-class ConditionAViolated(ValueError):
+class ConditionAViolated(DomainError):
     """Raised when a warp function fails the non-negativity condition on h = g'' + (g')^2."""
 
 

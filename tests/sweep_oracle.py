@@ -1,7 +1,9 @@
 """Reference Jacobi solves: the matrix RK4 march and sweep with QR renormalization.
 
 Also the scalar march that ``engine.scalar_march`` replaced: RK4 transfer
-matrices stepped on the identity and a rescale check after every step.
+matrices stepped on the identity and a rescale check after every step.  The
+RK4 step is written out here, in the operation order of ``engine._rk4_step``,
+so ``engine._transfer_block`` is checked against an independent stepper.
 
 The n x n system Y'' + K Y = 0 is marched as the (2n x q) frame [Y; Y'].  The
 sweep starts at the vanishing end, is QR-renormalized whenever its entries
@@ -14,9 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from warpflow.engine import _RENORM_THRESHOLD, _rk4_step
+from warpflow.engine import _RENORM_THRESHOLD
 
 _THRESHOLD = 1e6
+
+
+def _rk4_step(rhs, y, h):
+    """One classic RK4 step of y' = rhs(stage, y); ``stage`` counts half steps into the step (0, 1, 1, 2)."""
+    k1 = rhs(0, y)
+    k2 = rhs(1, y + 0.5 * h * k1)
+    k3 = rhs(1, y + 0.5 * h * k2)
+    k4 = rhs(2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_transfer(curvatures, node, direction, count, h):

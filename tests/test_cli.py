@@ -227,6 +227,13 @@ class TestScenarioBoundsCommand:
         assert "bounds" not in payload
         assert payload["c_squared"] <= 2.0
 
+    @pytest.mark.parametrize("command", ["scenario-bounds", "anosov-check"])
+    def test_condition_a_violation_is_an_error_exit(self, tmp_path, capsys, command):
+        # at a = 1, h = g'' + (g')^2 dips below 0: an error line, not a traceback
+        rc = main([command, "--scenario", "anosov-warped-torus", "--a", "1", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: h = g'' + (g')^2 dips to -1.138970 for a = 1.0")
+
 
 class TestAnosovCheckCommand:
     def test_constant_curvature_verdict_and_determinism(self, tmp_path):

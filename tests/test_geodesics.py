@@ -36,6 +36,16 @@ def _identity_warp(n=2):
     return WarpSpec(name="g(x)=x", n=n, triple=triple, c_squared=1.0)
 
 
+@pytest.fixture(scope="module")
+def gaussian_spec():
+    """README's warp g = x^2/2, whose ``slope`` returns its argument: g' is a row of the stepper's stage buffer."""
+
+    def triple(x):
+        return 0.5 * x * x, x, np.ones_like(x)
+
+    return WarpSpec(name="gaussian", n=2, triple=triple, slope=lambda x: x)
+
+
 class TestUnitTangent:
     def test_normalization(self, anosov_spec):
         th = unit_tangent(anosov_spec, 0.5, np.zeros(2), 3.0, [0.1, 0.2])
@@ -186,7 +196,7 @@ class TestStoredRunOracle:
 
     KEYS = ("x", "u0", "s", "Y", "p", "unit_defect", "curvatures", "final_state")
 
-    @pytest.mark.parametrize("warp", ["anosov_spec", "counter_spec", "const_spec"])
+    @pytest.mark.parametrize("warp", ["anosov_spec", "counter_spec", "const_spec", "gaussian_spec"])
     # 601 fine nodes carry Y across two block boundaries; 257 leave one node to the last block
     @pytest.mark.parametrize("t1", [3.0, -3.0, -1.28])
     @pytest.mark.parametrize("resumed", [False])
@@ -201,6 +211,11 @@ class TestStoredRunOracle:
         ref = kernel_oracle.stored_run(spec, state, t0=0.5, t1=0.5 + t1, step=0.01)
         for key in self.KEYS:
             assert np.array_equal(run[key], ref[key]), key
+        # an unstored run steps the same states without the Y row
+        run = engine.integrate_states(spec, state, e, t0=0.5, t1=0.5 + t1, step=0.01, store=False)
+        assert np.array_equal(run["curvatures"], ref["curvatures"])
+        assert np.array_equal(run["final_state"], ref["final_state"][:3])
+        assert np.array_equal(run["max_unit_defect"], ref["unit_defect"].max(axis=0))
 
 
 class TestScalarVelocity:

@@ -1,3 +1,4 @@
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,24 @@ def _spike_spec(kappa):
                     period=2.0 * np.pi, growth_bounds=(6.0, 8.0))
 
 
+# the package's public names by module, as exported before they loaded lazily
+PACKAGE_EXPORTS = {
+    "errors": "ConditionAViolated ConjugatePointDetected DegeneratePlane DomainError GreenNotConverged "
+              "IntegratorDrift VanishingJacobiField",
+    "warp": "ConditionReport WarpSpec triple_from_scalar warp_from_config_section",
+    "geometry": "ChristoffelTable CurvatureMatrix TangentVector christoffel curvature_matrix_along "
+                "curvature_tensor metric_dot sectional_curvature",
+    "geodesics": "GeodesicPath UnitTangent flip integrate_geodesic integrate_window scalar_velocity "
+                 "scalar_velocity_series unit_tangent unit_tangent_from_direction",
+    "jacobi": "MatrixJacobiSolution RiccatiSeries dphi_norm dphi_norm_series green_stable green_unstable "
+              "riccati_along sasaki_orthonormal_directions solve_boundary solve_jacobi_ivp",
+    "scenarios": "ScenarioBounds build_anosov_example build_constant_curvature build_counterexample "
+                 "build_scenario case_bound scenario_bounds",
+    "criterion": "AnosovReport AveragedCurvatureSeries EnvelopeFit averaged_curvature contraction_check "
+                 "decay_envelope dominance_check estimate_B run_anosov_check sample_thetas",
+}
+
+
 class TestScenarioBounds:
     def test_unresolved_h_is_a_domain_error(self):
         # at 512 and 1024 nodes the bump of width 3e-3 gives 56.63 and 56.60
@@ -117,6 +136,30 @@ class TestScenarioBounds:
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_scenarios_import_alone(self):
+        # the package loads its submodules on first access
+        src = str(Path(warpflow.__file__).parents[1])
+        heavy = ["engine", "geodesics", "geometry", "jacobi", "criterion", "cli", "config", "reports"]
+        code = (f"import sys; sys.path.insert(0, {src!r}); from warpflow import scenarios; "
+                "scenarios.scenario_bounds(scenarios.build_scenario('anosov-warped-torus', a=3.0, n=2)); "
+                f"print(sorted(m for m in {heavy!r} if 'warpflow.' + m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_package_exports(self):
+        for module, names in PACKAGE_EXPORTS.items():
+            for name in names.split():
+                assert getattr(warpflow, name) is getattr(importlib.import_module(f"warpflow.{module}"), name)
+                assert name not in vars(warpflow)  # resolved, not stored
+        assert sorted(warpflow.__all__) == sorted(" ".join(PACKAGE_EXPORTS.values()).split())
+        namespace = {}
+        exec("from warpflow import *", namespace)
+        assert all(namespace[name] is getattr(warpflow, name) for name in warpflow.__all__)
+        assert warpflow.engine is engine
+        assert "run_anosov_check" in dir(warpflow) and "jacobi" in dir(warpflow)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            getattr(warpflow, "no_such_name")
 
 
 class TestPeriodicLimit:
