@@ -405,7 +405,8 @@ def _chunk_pipeline(spec, thetas, *, step, horizon, green_tol, green_r0, green_m
     sweeps = _Sweeps(spec, step, e, run["curvatures"][..., : min(spec.n, 2)], 0, [state, run["final_state"]],
                      (0, n_coarse), run["max_unit_defect"])
     del run  # the sweeps hold the only reference to the first table
-    (y, yp), _, gaps_hist = _ladder(sweeps.solve, m, green_r0, step, green_max_doublings, green_tol)
+    (y, yp), _, gaps_hist = _ladder(sweeps.solve, m, green_r0, step, green_max_doublings, green_tol,
+                                    sweeps.window)
     max_unit, k = sweeps.max_unit, sweeps.window_coefficients()
     del sweeps  # its table and window basis serve only later rungs
 
@@ -555,8 +556,10 @@ def run_anosov_check(
     per-sample results do not depend on the batches.  Later rungs grow and
     sweep only the samples still live.  Each sample's ladder runs at most
     ``green_max_doublings`` doublings from ``green_r0`` and stops sooner,
-    as a ``green_gap`` failure, once its bounds' decay cannot reach
-    ``green_tol`` in the doublings left (see :func:`~warpflow.jacobi._ladder`).
+    as a ``green_gap`` failure, once the forecast from its first or a later
+    rung's curvature table, or its bounds' decay, shows that ``green_tol``
+    is out of reach in the doublings left (see
+    :func:`~warpflow.jacobi._ladder`).
     A sample whose last two-point sweep vanishes at t = 0 (a conjugate
     point, :func:`~warpflow.engine.boundary_solve`) is a ``vanishing_field``
     failure, without a ``green_gap`` one, and is dropped from the series

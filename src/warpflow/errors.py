@@ -33,10 +33,11 @@ class ConjugatePointDetected(RuntimeError):
 class GreenNotConverged(RuntimeError):
     """Raised when no rung of the r-ladder for a stable/unstable solution is certified.
 
-    The ladder ends after its last allowed doubling or sooner, once the
-    bounds' decay cannot reach the tolerance in the doublings left (see
-    ``jacobi._ladder``).  ``last_solution`` holds the final iterate,
-    ``gaps`` the Dirichlet-Neumann bracket bound of each rung run (see
+    The ladder ends after its last allowed doubling or sooner, once a
+    rung's forecast or the bounds' decay shows that the tolerance is out of
+    reach in the doublings left (see ``jacobi._ladder``).
+    ``last_solution`` holds the final iterate, ``gaps`` the
+    Dirichlet-Neumann bracket bound of each rung run (see
     ``jacobi._bracket_bound``).
     """
 

@@ -19,7 +19,9 @@ scalar two-point solutions y1, y2 (the modes), swept from the vanishing
 endpoint: exact at horizons where shooting from t = 0 loses every digit to
 cancellation.  Such solutions carry their modes, on which the r-ladder and
 the flow-derivative norms work; the ladder stops at the first rung whose
-Dirichlet-Neumann bracket certifies the limit.  Every two-point solve, batched
+Dirichlet-Neumann bracket certifies the limit, or, uncertified, at the
+first rung from whose curvature table or bound decay the tolerance is
+forecast out of reach.  Every two-point solve, batched
 (``criterion``) or single-sample (m = 1), sweeps the table of one driver,
 :class:`_Sweeps`, which grows the (k1, k2) table past the stored data as far
 as r needs and stores no path there.  In the ladder a later rung marches
@@ -201,10 +203,15 @@ class _Sweeps:
         if basis is not None:
             self.basis = engine.Basis(basis.offset, basis.pairs[:, :, :, keep], basis.scales[:, :, keep])
 
-    def solve(self, r: float, live: np.ndarray) -> tuple:
-        """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, and the bracket bounds.
+    def solve(self, r: float, live: np.ndarray, tol: Optional[float] = None) -> tuple:
+        """Modes (y, y') (nodes, len(live), M) of y(0) = 1, y(r) = 0 on the window, bracket bounds and kappa^2.
 
         The bound of each sample in ``live`` is that of :func:`_bracket_bound`.
+        Given ``tol``, each sample whose bound is finite and not below it also
+        gets kappa^2 = max(0, -min k), the minimum over both modes and the
+        table stretch between the window's near end and the anchor (for a
+        later sweep, the part past the previous anchor), and every other
+        sample NaN; without ``tol`` kappa^2 is None.
         """
         self._keep(live)
         anchor = self.zero + round(r / self.step)
@@ -225,13 +232,23 @@ class _Sweeps:
         self.basis = basis or engine.Basis()
         y, yp, width = engine.boundary_solve(tab, self.step, *nodes, basis=self.basis)
         del tab  # the table may be cut below
+        bound = _bracket_bound(width, self.step, -self.window[0])
+        kappa2 = None
+        if tol is not None:
+            need = np.isfinite(bound) & (bound >= tol)
+            kappa2 = np.full(len(live), np.nan)
+            if need.any():
+                near = max(hi, 0) if anchor > hi else min(lo, (len(self.table) - 1) // 2)
+                a, b = sorted((2 * near, 2 * anchor))
+                low = self.table[a : b + 1].min(axis=(0, 2), where=need[:, None], initial=np.inf)
+                kappa2[need] = np.maximum(0.0, -low[need])
         if not lo <= anchor <= hi:
             self.window_coefficients()
         if anchor > hi:
             self.table, self.zero = self.table[2 * anchor :].copy(), self.zero - anchor
         elif anchor < lo:
             self.table = self.table[: 2 * anchor + 1].copy()
-        return y, yp, _bracket_bound(width, self.step, -self.window[0])
+        return y, yp, bound, kappa2
 
 
 def _bracket_bound(width: np.ndarray, step: float, zero: int) -> np.ndarray:
@@ -294,7 +311,7 @@ def solve_boundary(path: GeodesicPath, r: float) -> MatrixJacobiSolution:
     out_lo = path.t_lo if r > 0 else max(path.t_lo, r_snap)
     out_hi = min(path.t_hi, r_snap) if r > 0 else path.t_hi
     sweeps, wpath, times = _path_sweeps(path, min(out_lo, 0.0), max(out_hi, 0.0))
-    y, yp, _ = sweeps.solve(r, np.arange(1))
+    y, yp, *_ = sweeps.solve(r, np.arange(1))
     if np.isnan(y[-sweeps.window[0]]).any():  # the solution vanishes at t = 0
         raise ConjugatePointDetected(f"two-point solve with endpoint r={r_snap} is singular")
     sol = _modal_solution(wpath, times, y[:, 0], yp[:, 0], "boundary", r=r_snap)
@@ -307,31 +324,74 @@ def solve_boundary(path: GeodesicPath, r: float) -> MatrixJacobiSolution:
     return sol
 
 
-def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: float, zero: int = 0):
+def _flat_bound(d, length: float):
+    """The bound of :func:`_bracket_bound` for k = 0 on a window of ``length`` whose far end lies ``d`` before the anchor.
+
+    Then u_D = -1/(anchor - t) and u_N = 0, so the width is largest at the
+    far end, 1/d, and its integral over the window is ln((d + length)/d).
+    """
+    return np.maximum(1.0 / d, np.log1p(length / d))
+
+
+def _forecast(bound, kappa2, r: float, left: int, window: tuple, step: float):
+    """A lower estimate, per sample, of the bound that ``left`` more doublings of the anchor r could reach.
+
+    With curvature k >= -kappa^2 the Riccati comparison (Green 1958,
+    Eschenburg 1977) lets the bracket shrink no faster than at constant
+    curvature -kappa^2, where it falls by about e^{-2 kappa D} as the
+    anchor moves by D, and no faster than in flat space, where the bound is
+    :func:`_flat_bound`.  The forecast takes both shrinks at once,
+
+        F = b * b_flat(d + D) / b_flat(d) * e^{-2 kappa D},
+
+    with b the bound at r, d the anchor's distance past the window
+    (``window`` holds its coarse offsets (lo, hi) from t = 0) and
+    D = |r| (2^left - 1) the distance the anchor still moves.  NaN where b
+    or kappa^2 is.
+    """
+    lo, hi = window
+    d = abs(r) - step * (hi if r > 0 else -lo)
+    D = abs(r) * (2.0**left - 1.0)
+    length = step * (hi - lo)
+    with np.errstate(invalid="ignore"):
+        return bound * (_flat_bound(d + D, length) / _flat_bound(d, length)) * np.exp(-2.0 * D * np.sqrt(kappa2))
+
+
+def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: float, window: tuple = (0, 0)):
     """Two-point solves at r0, 2 r0, 4 r0, ... (on the grid), per sample until its bracket certifies it.
 
-    ``solve(r, live)`` returns the modes (y, y') for the samples ``live`` (an
-    index array into the m samples), each with shape (nodes, len(live), M),
-    and their bracket bounds (len(live),) (see :func:`_bracket_bound`).  A
-    sample is frozen at the first rung whose bound is below ``tol`` and
-    keeps that rung's (y, y') and bound, so its result does not depend on
-    the other samples.  Later rungs run only for the samples still live,
-    until none is, for at most ``max_doublings`` doublings.  A sample whose
-    modes are NaN at the window node ``zero`` (t = 0; its sweep vanished
-    there, see :func:`engine.boundary_solve`) is frozen at that rung too,
-    with its NaN modes and infinite bound: a further doubling would only
-    repeat the sweep.
+    ``solve(r, live, tol)`` returns the modes (y, y') for the samples
+    ``live`` (an index array into the m samples), each with shape
+    (nodes, len(live), M), their bracket bounds (len(live),) (see
+    :func:`_bracket_bound`) and, when ``tol`` is not None, a kappa^2 for
+    each sample whose bound is finite and not below ``tol`` (see
+    :meth:`_Sweeps.solve`).  ``window`` holds the coarse offsets (lo, hi)
+    from t = 0 of the nodes the modes are on.  A sample is frozen at the
+    first rung whose bound is below ``tol`` and keeps that rung's (y, y')
+    and bound, so its result does not depend on the other samples.  Later
+    rungs run only for the samples still live, until none is, for at most
+    ``max_doublings`` doublings.  A sample whose modes are NaN at t = 0
+    (its sweep vanished there, see :func:`engine.boundary_solve`) is frozen
+    at that rung too, with its NaN modes and infinite bound: a further
+    doubling would only repeat the sweep.
 
-    From the second rung on, a live sample with finite bounds b_prev and b
-    at its last two rungs also stops, uncertified, when its decay cannot
-    reach ``tol`` in the j doublings left: under uniform contraction the
-    bracket width decays like e^{-2 mu (r - t)}, so at the rate the last
-    doubling showed, rho = min(1, b / b_prev), each further doubling squares
-    the factor, and the sample stops if b rho^(2^(j+1) - 2) >= tol.  It
-    keeps this rung's (y, y') and bound, as if it had run out of doublings.
-    A slower decay, such as the counterexample's 1/r, only makes later
-    bounds larger.  If the decay speeds up past the observed rate, a sample
-    that a later rung would certify is reported uncertified; the rule never
+    A live sample also stops, uncertified, when its bracket cannot reach
+    ``tol`` in the j doublings left; it keeps this rung's (y, y') and
+    bound, as if it had run out of doublings.  Two rules decide this:
+
+    - From the first rung on, the forecast of :func:`_forecast` from the
+      sample's bound and kappa^2 is not below ``tol``.  It assumes the
+      curvature past the anchor is no steeper than on the stretch the
+      sweep read, as on the counterexample, whose bounds fall like 1/r.
+    - From the second rung on, with finite bounds b_prev and b at its last
+      two rungs, the decay the last doubling showed cannot reach ``tol``:
+      under uniform contraction the bracket width decays like
+      e^{-2 mu (r - t)}, so at the observed rate rho = min(1, b / b_prev)
+      each further doubling squares the factor, and the sample stops if
+      b rho^(2^(j+1) - 2) >= tol.
+
+    If the bracket shrinks faster than either rule assumes, a sample that a
+    later rung would certify is reported uncertified; neither rule
     certifies anything the bracket did not.
 
     Returns the kept (y, y'), the rungs run and one array of per-sample
@@ -346,9 +406,11 @@ def _ladder(solve, m: int, r0: float, step: float, max_doublings: int, tol: floa
     for left in range(max_doublings, -1, -1):
         if len(live) == m:  # every sample's modes are replaced: released before the sweep allocates
             y = yp = None
-        yr, ypr, bound = solve(r, live)
+        yr, ypr, bound, kappa2 = solve(r, live, tol if left else None)
         rungs.append(r)
-        done = (bound < tol) | np.isnan(yr[zero]).any(axis=-1)
+        done = (bound < tol) | np.isnan(yr[-window[0]]).any(axis=-1)
+        if left:
+            done |= _forecast(bound, kappa2, r, left, window, step) >= tol
         if y is None:
             y, yp = yr, ypr
         else:
@@ -381,7 +443,7 @@ def _green_limit(
     w_lo, w_hi = window
     r_start = side * max(r0, abs(w_hi) + 4.0, abs(w_lo) + 4.0, t_obs + 4.0)
     sweeps, wpath, times = _path_sweeps(path, w_lo, w_hi)
-    (y, yp), rungs, gaps = _ladder(sweeps.solve, 1, r_start, path.step, max_doublings, tol, -sweeps.window[0])
+    (y, yp), rungs, gaps = _ladder(sweeps.solve, 1, r_start, path.step, max_doublings, tol, sweeps.window)
     if np.isnan(y[-sweeps.window[0]]).any():  # the last rung's solution vanishes at t = 0
         raise ConjugatePointDetected(f"two-point solve with endpoint r={rungs[-1]} is singular")
     gaps = [float(g[0]) for g in gaps]
@@ -415,15 +477,18 @@ def green_stable(
     curvature is non-positive (condition (A)).  ``r0`` is raised
     automatically so every rung lies beyond the observation window.  The
     ladder runs at most ``max_doublings`` doublings, and stops sooner when
-    the bounds' decay cannot reach ``tol`` in the doublings left (see
-    :func:`_ladder`; a decay that speeds up later is the one case this
-    misses).  On failure to certify, :class:`GreenNotConverged` carries the
-    last iterate and the bounds; a two-point solution that vanishes at t = 0
-    raises :class:`ConjugatePointDetected`.  A ladder can reach
+    the forecast from a rung's curvature table, or from the second rung on
+    the bounds' decay, shows that ``tol`` is out of reach in the doublings
+    left (see :func:`_ladder`; a bracket that shrinks faster than both
+    assume is the one case this misses).  On failure to certify,
+    :class:`GreenNotConverged` carries the last iterate and the bounds; a
+    two-point solution that vanishes at t = 0 raises
+    :class:`ConjugatePointDetected`.  A ladder can reach
     r = r0 2^max_doublings (r0 as raised), and the early stop need not come
-    soon: at the defaults the counterexample datum x0 = 0.5, b0 = 0.3 (n = 2,
-    t_obs 8, step 0.01) stops at r = 6,144 after 10 rungs, 36 s on a 2-core
-    machine.  Pass a smaller ``max_doublings`` on slowly contracting data.
+    at the first rung: at the defaults the counterexample datum x0 = 0.5,
+    b0 = 0.3 (n = 2, t_obs 8, step 0.01) stops at r = 384 after 6 rungs,
+    about 2 s on a 2-core machine.  Pass a smaller ``max_doublings`` on
+    slowly contracting data.
     A window that leaves the path is integrated from the path's start datum
     without a drift check, and the solution's path ends at the window: past
     it only the coefficient table grows, also unchecked; the growth's
@@ -443,7 +508,8 @@ def green_unstable(
     """Limit of two-point solutions with vanishing end r -> -inf, on [0, t_obs].
 
     The two-point solves anchor at negative r; otherwise as :func:`green_stable`,
-    including the ladder's early stop of a bracket that cannot reach ``tol``
+    including the ladder's early stops (the forecast from the first rung on,
+    the decay rule from the second) of a bracket that cannot reach ``tol``
     and its reach of up to r = -r0 2^max_doublings.
     """
     return _green_limit(path, -1, t_obs, tol, r0, max_doublings, (0.0, t_obs))

@@ -264,8 +264,9 @@ class TestVerdicts:
         # second rung (r = 8), whose sweeps are rescaled while the first's are not
         periodic = dict(step=0.02, seed=3, samples=6, t_min=1.5, horizon=2.0, green_r0=4.0,
                         green_tol=1e-8, drift_tol=1e-5)
-        # every counterexample ladder stops uncertified after its second rung,
-        # its decay out of reach of the tolerance in the one doubling left
+        # every counterexample ladder stops uncertified: the forecast stops
+        # four of the six distinct data at the first rung, the other two
+        # after the second
         counter = dict(step=0.1, seed=0, samples=6, t_min=10.0, horizon=12.0,
                        green_tol=1e-4, green_max_doublings=2, drift_tol=1e-3)
         for spec, kw in ((anosov_spec, periodic), (counter_spec, counter)):

@@ -8,6 +8,7 @@ from warpflow.errors import DomainError, GreenNotConverged, VanishingJacobiField
 from warpflow.geodesics import flip, integrate_geodesic, integrate_window, unit_tangent_from_direction
 from warpflow.geometry import TangentVector, sectional_curvature
 from warpflow.jacobi import (
+    _forecast,
     _ladder,
     _path_sweeps,
     dphi_norm,
@@ -210,17 +211,23 @@ class TestBoundarySolutions:
         sweeps = _path_sweeps(path, 0.0, 10.0)[0]
         gaps = [sweeps.solve(r, np.arange(1))[2][0] for r in (32.0, 64.0, 128.0, 256.0, 512.0)]
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-        # the bracket shrinks like 1/r, which no doubling left can bring to 1e-10
+        # the bracket shrinks like 1/r: at tol 1e-5 the forecast lets the first
+        # rung (r = 32) through, and at r = 64 it shows that the three
+        # doublings left cannot reach the tolerance
         with pytest.raises(GreenNotConverged) as err:
-            green_stable(path, t_obs=10.0, tol=1e-10, r0=32.0, max_doublings=4)
+            green_stable(path, t_obs=10.0, tol=1e-5, r0=32.0, max_doublings=4)
         assert len(err.value.gaps) == 2
 
 
 def _fake_solve(*bound_of):
-    """A ``solve(r, live)`` for :func:`_ladder` whose sample k has bound ``bound_of[k](r)`` and modes r, -r."""
-    def solve(r, live):
+    """A ``solve(r, live, tol)`` for :func:`_ladder` whose sample k has bound ``bound_of[k](r)`` and modes r, -r.
+
+    Its kappa^2 is infinite, so the forecast never stops a sample and only
+    the rate rule does.
+    """
+    def solve(r, live, tol):
         y = np.full((3, len(live), 1), r)
-        return y, -y, np.array([bound_of[k](r) for k in live])
+        return y, -y, np.array([bound_of[k](r) for k in live]), np.full(len(live), np.inf)
 
     return solve
 
@@ -274,13 +281,31 @@ class TestLadderStoppingRule:
         assert rungs == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
     def test_counterexample_datum_stops_after_four_rungs(self, counter_spec):
-        # the counterexample's bracket shrinks like 1/r: after r = 96 the three
-        # doublings left cannot bring it to 1e-8
+        # the counterexample's bracket shrinks like 1/r: at tol 1e-3 the
+        # forecast lets the datum through three rungs, and after r = 96 it
+        # shows that the three doublings left cannot bring it there (at 1e-8
+        # it stops the datum after r = 48)
         th = unit_tangent_from_direction(counter_spec, 0.5, np.zeros(2), 0.3, [1.0, 0.0])
         path = integrate_geodesic(counter_spec, th, 8.0, 0.01)
         with pytest.raises(GreenNotConverged) as err:
-            green_stable(path, t_obs=8.0, tol=1e-8, max_doublings=6)
+            green_stable(path, t_obs=8.0, tol=1e-3, max_doublings=6)
         assert err.value.last_solution.meta["r_ladder"] == [12.0, 24.0, 48.0, 96.0]
+
+
+class TestForecast:
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("r", [3.0, 4.0, 6.0])
+    def test_constant_curvature_forecast_lies_below_the_next_rung(self, const_spec, side, r):
+        # at curvature -1 the forecast over one doubling undershoots the bound
+        # the doubled rung reaches, by less than a factor 3 (bounds 1e-2 to
+        # 1e-9, far above rounding)
+        path = _const_path(const_spec, t_end=2.0)
+        sweeps = _path_sweeps(path, 0.0, 2.0)[0]
+        _, _, bound, kappa2 = sweeps.solve(side * r, np.arange(1), 0.0)
+        assert kappa2 == pytest.approx(1.0)
+        forecast = _forecast(bound, kappa2, side * r, 1, sweeps.window, path.step)
+        doubled = sweeps.solve(side * 2.0 * r, np.arange(1))[2]
+        assert doubled / 3.0 < forecast < doubled
 
 
 class TestGreenStable:
@@ -318,14 +343,16 @@ class TestGreenStable:
 
     def test_ladder_memory_per_grown_node(self):
         # past the window the ladder grows a (k1, k2) table, not a stored
-        # path with state, frame and K (about 700 B per fine node)
+        # path with state, frame and K (about 700 B per fine node); at tol
+        # 0.05 the forecast from r = 64 (about 0.02) lets the sample grow to
+        # r = 128, whose bound (about 0.08) is still above it
         spec, step, t_obs = scenarios.build_counterexample(n=3), 0.05, 10.0
         th = unit_tangent_from_direction(spec, 0.0, np.zeros(3), 1.0, np.zeros(3))
         path = integrate_geodesic(spec, th, t_obs, step, drift_tol=1e-4)
         tracemalloc.start()
         try:
             with pytest.raises(GreenNotConverged) as err:
-                green_stable(path, t_obs=t_obs, tol=1e-10, r0=64.0, max_doublings=1)
+                green_stable(path, t_obs=t_obs, tol=0.05, r0=64.0, max_doublings=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

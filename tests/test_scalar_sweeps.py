@@ -6,7 +6,7 @@ from sweep_oracle import matrix_boundary_solve, per_step_march, rk4_transfer
 from warpflow import criterion, engine, jacobi, scenarios
 from warpflow.criterion import sample_thetas
 from warpflow.errors import ConjugatePointDetected, DomainError
-from warpflow.geodesics import integrate_geodesic, unit_tangent_from_direction
+from warpflow.geodesics import flip, integrate_geodesic, unit_tangent_from_direction
 
 C_UNIT = np.array([[0.6, 0.8]])
 
@@ -135,6 +135,45 @@ def test_counterexample_bracket_closes_like_one_over_r():
               for r in (46.0, 92.0, 184.0)]
     assert 1e-2 < widths[0] < 5e-2
     assert all(0.45 < b / a < 0.55 for a, b in zip(widths, widths[1:]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_counterexample_check_runs_one_kernel_leg(monkeypatch, seed):
+    # the counterexample-check workload: the forecast from the first sweep
+    # (r = 46) shows that no datum can reach 1e-4 in the two doublings left,
+    # so every ladder stops there and the table never grows
+    spec = scenarios.build_counterexample(n=3)
+    base = sample_thetas(spec, 20, seed, x_span=15.0)[0]
+    legs = []
+    integrate = engine.integrate_states
+
+    def counting(*args, **kwargs):
+        legs.append(None)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "integrate_states", counting)
+    out = criterion._chunk_pipeline(spec, base + [flip(th) for th in base], step=0.05, horizon=30.0,
+                                    green_tol=1e-4, green_r0=46.0, green_max_doublings=2, drift_tol=1e-4,
+                                    series_stride=25)
+    assert len(legs) == 1
+    assert not out["green_ok"].any()
+
+
+def test_counterexample_axis_limit_lies_in_the_first_bracket():
+    # on the axis x = t both modes solve y'' = h(x) y, and the bounded
+    # solution y_s = f(x) (pi/2 - arctan x), f = sqrt(1 + x^2), is the
+    # stable limit; its u_s = y_s'/y_s lies strictly between u_D and
+    # u_N = u_D + width at every window node of green_stable's first rung
+    # (r = t_obs + 4)
+    spec, step, t_obs = scenarios.build_counterexample(n=2), 0.05, 10.0
+    th = unit_tangent_from_direction(spec, 0.0, np.zeros(2), 1.0, [0.0, 0.0])
+    path = integrate_geodesic(spec, th, t_obs + 4.0, step, drift_tol=1e-4)
+    anchor, out_hi = int(round((t_obs + 4.0) / step)), int(round(t_obs / step))
+    y, yp, width = engine.boundary_solve(path.curvatures[:, None, :2], step, anchor, 0, 0, out_hi)
+    x = path.x[: 2 * out_hi + 1 : 2, None, None]
+    u_s = (x - 1.0 / (np.pi / 2.0 - np.arctan(x))) / (1.0 + x * x)
+    u_d = yp / y
+    assert np.all(u_d < u_s) and np.all(u_s < u_d + width)
 
 
 def test_periodic_check_certifies_at_first_rung(monkeypatch):
@@ -352,14 +391,15 @@ def _vanishing_from_call(monkeypatch, first):
 
 @pytest.mark.parametrize("side, green", [(1, jacobi.green_stable), (-1, jacobi.green_unstable)])
 def test_single_sample_limit_raises_when_a_later_rung_vanishes(anosov_spec, monkeypatch, side, green):
-    # at tol 1e-300 the first rung (r = 8) is not certified, and the second
+    # at tol 1e-50 the first rung (r = 8) is not certified (bound about
+    # 3e-15) and the forecast (about 5e-108) lets it through; the second
     # (r = 16) vanishes: the ladder freezes the sample there, and the limit
     # raises instead of returning NaN modes
     th = unit_tangent_from_direction(anosov_spec, 0.4, np.zeros(2), -0.3, [0.6, 0.742])
     path = integrate_geodesic(anosov_spec, th, 2.0, 1.0 / 32.0, drift_tol=None)
     calls = _vanishing_from_call(monkeypatch, 1)
     with pytest.raises(ConjugatePointDetected, match=f"r={16.0 * side}"):
-        green(path, 2.0, tol=1e-300, max_doublings=2)
+        green(path, 2.0, tol=1e-50, max_doublings=2)
     assert len(calls) == 2
 
 
