@@ -199,7 +199,8 @@ class TestStoredRunOracle:
     @pytest.mark.parametrize("warp", ["anosov_spec", "counter_spec", "const_spec", "gaussian_spec"])
     # 601 fine nodes carry Y across two block boundaries; 257 leave one node to the last block
     @pytest.mark.parametrize("t1", [3.0, -3.0, -1.28])
-    def test_bits_equal_in_loop_y(self, warp, t1, request):
+    @pytest.mark.parametrize("resumed", [False])
+    def test_bits_equal_in_loop_y(self, warp, t1, resumed, request):
         spec = request.getfixturevalue(warp)
         state, e = engine.slice_state(
             np.array([0.4, -1.3, 2.2]), np.array([0.6, -0.9, 0.0]),
